@@ -49,7 +49,7 @@ def _run_sequential(seed: int) -> tuple[int, int]:
     return cost.work, cost.span
 
 
-def test_batching_ablation(record_table, record_json, benchmark, engine):
+def test_batching_ablation(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -94,7 +94,7 @@ def test_batching_ablation(record_table, record_json, benchmark, engine):
 
 
 @pytest.mark.parametrize("ell", [1, 128, M])
-def test_wallclock_insert_all(benchmark, ell, engine):
+def test_wallclock_insert_all(benchmark, ell):
     def run():
         if ell == 1:
             s = SequentialIncrementalMSF(N, seed=31)

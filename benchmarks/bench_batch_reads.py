@@ -14,9 +14,8 @@ replays it, and a single reader issues fixed query batches (alternating
 QueryService` for a wall budget, at batch sizes 1/16/64/256.  Per size we
 record answered queries/sec and the speedup over the single-query
 configuration, as a versioned JSON record that
-``python -m repro.report --trace`` renders.  Run with
-``REPRO_BENCH_ENGINE=ab`` for the object-vs-array comparison; the array
-engine must clear ``SPEEDUP_FLOOR`` x at every batch size >= 64.
+``python -m repro.report --trace`` renders.  Batched reads must clear
+``SPEEDUP_FLOOR`` x at every batch size >= 64.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks everything to a CI-sized smoke run (tiny
 n, one ingest round, no throughput assertion).
@@ -45,7 +44,7 @@ WINDOW = 256 if SMOKE else 4096
 BATCH_SIZES = [1, 16, 64, 256]
 MEASURE_S = 0.05 if SMOKE else 1.0
 PASSES = 1 if SMOKE else 2
-SPEEDUP_FLOOR = 5.0  # array-engine floor at batch >= 64
+SPEEDUP_FLOOR = 5.0  # floor at batch >= 64
 
 
 def _query_batch(rng: random.Random, size: int) -> list[tuple]:
@@ -57,14 +56,14 @@ def _query_batch(rng: random.Random, size: int) -> list[tuple]:
     return out
 
 
-def test_batch_reads(record_table, record_json, benchmark, engine, tmp_path):
+def test_batch_reads(record_table, record_json, benchmark, tmp_path):
     state: dict = {}
 
     def run():
         cost = CostModel()
 
         def factory():
-            return SWConnectivityEager(N, seed=13, cost=cost, engine=engine)
+            return SWConnectivityEager(N, seed=13, cost=cost)
 
         cfg = ServiceConfig(flush_edges=10**9, snapshot_every=0, fsync=False)
         rng = random.Random(13)
@@ -78,7 +77,7 @@ def test_batch_reads(record_table, record_json, benchmark, engine, tmp_path):
         )
         rows = []
         with ReplicatedService(
-            factory, tmp_path / f"svc-{engine}", cfg, followers=1
+            factory, tmp_path / "svc", cfg, followers=1
         ) as rs:
             for b in stream:
                 rs.write(b.edges, expire=b.expire)
@@ -114,7 +113,7 @@ def test_batch_reads(record_table, record_json, benchmark, engine, tmp_path):
             for size, tput in rows
         ],
         title=(
-            f"Batched reads over QueryService ({engine} engine): one "
+            "Batched reads over QueryService (array engine): one "
             f"follower, n = {N}, static window, {MEASURE_S:.1f}s per size"
         ),
     )
@@ -140,9 +139,8 @@ def test_batch_reads(record_table, record_json, benchmark, engine, tmp_path):
             },
         },
     )
-    if not SMOKE and engine == "array":
-        # The tentpole's headline claim: batched reads on the array engine
-        # beat single-query reads >= 5x once the batch reaches 64.
+    if not SMOKE:
+        # The headline claim: batched reads beat single-query reads >= 5x once the batch reaches 64.
         for size, _ in rows:
             if size >= 64:
                 assert speedups[size] >= SPEEDUP_FLOOR, (size, speedups[size])

@@ -34,7 +34,7 @@ def _label(v: int) -> str:
     return NAMES.get(v, f"v{v}")
 
 
-def test_regenerate_figure1(record_table, record_json, benchmark, engine):
+def test_regenerate_figure1(record_table, record_json, benchmark):
     f = _build()
     cpt = benchmark.pedantic(
         lambda: f.compressed_path_tree(MARKED), rounds=3, iterations=1
@@ -64,7 +64,7 @@ def test_regenerate_figure1(record_table, record_json, benchmark, engine):
     )
 
 
-def test_wallclock_pairwise_query(benchmark, engine):
+def test_wallclock_pairwise_query(benchmark):
     f = _build()
     assert f.path_max(0, 3) is not None
     benchmark(lambda: f.path_max(0, 3))

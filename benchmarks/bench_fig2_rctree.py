@@ -13,12 +13,21 @@ from __future__ import annotations
 from repro.analysis import format_table
 from repro.paperdata import FIG2_NAMES, fig2_links
 from repro.runtime import CostModel
-from repro.trees import DynamicForest
+from repro.trees import DynamicForest, RCForest
 from repro.trees.cluster import ClusterKind
 
 
-def _build(seed: int = 2, engine: str | None = None) -> DynamicForest:
-    f = DynamicForest(len(FIG2_NAMES), seed=seed, cost=CostModel(), engine=engine)
+def _build(seed: int = 2) -> DynamicForest:
+    """The Figure 2 tree on the ``RCForest`` reference model.
+
+    The rendering below walks the per-node cluster graph (vleaf / _dec /
+    ClusterNode children), which only the reference model exposes; it
+    makes the same contraction as the serving engine (snapshot-equal).
+    """
+    n = len(FIG2_NAMES)
+    f = DynamicForest(n, seed=seed)
+    f.cost = CostModel()
+    f.rc = RCForest(vertices=range(n), seed=seed, cost=f.cost)
     f.batch_link(fig2_links())
     return f
 
@@ -58,14 +67,7 @@ def _render_rc_tree(forest: DynamicForest) -> str:
 
 
 def test_regenerate_figure2(record_table, record_json, benchmark):
-    # Pinned to the object engine: the rendering below walks the per-node
-    # cluster graph (vleaf / _dec / ClusterNode children), which only the
-    # reference engine exposes.  The figure itself is engine-independent
-    # -- both engines produce the identical contraction (snapshot-equal),
-    # so there is nothing to A/B here.
-    forest = benchmark.pedantic(
-        lambda: _build(engine="object"), rounds=3, iterations=1
-    )
+    forest = benchmark.pedantic(_build, rounds=3, iterations=1)
     rc, tern = forest.rc, forest.ternary
 
     # Figure 2b: contraction schedule, round by round.
@@ -87,7 +89,7 @@ def test_regenerate_figure2(record_table, record_json, benchmark):
     record_json(
         "fig2_rctree_example",
         forest.cost,
-        params={"n": len(FIG2_NAMES), "seed": 2, "engine": forest.engine},
+        params={"n": len(FIG2_NAMES), "seed": 2},
     )
 
     # Structural validation (the properties the figure illustrates).
@@ -98,5 +100,5 @@ def test_regenerate_figure2(record_table, record_json, benchmark):
     rc.check_invariants()
 
 
-def test_wallclock_build(benchmark, engine):
-    benchmark(lambda: _build(engine=engine))
+def test_wallclock_build(benchmark):
+    benchmark(_build)

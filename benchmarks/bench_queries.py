@@ -43,7 +43,7 @@ QUERIES = {
 }
 
 
-def test_query_work_logarithmic(record_table, record_json, benchmark, engine):
+def test_query_work_logarithmic(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -81,7 +81,7 @@ def test_query_work_logarithmic(record_table, record_json, benchmark, engine):
 
 
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_wallclock_query(benchmark, query, engine):
+def test_wallclock_query(benchmark, query):
     n = 4096
     f = _forest(n)
     rng = random.Random(1)

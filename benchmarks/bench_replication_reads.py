@@ -70,12 +70,12 @@ QUERY_BATCH = [
 
 
 def _run_config(
-    followers: int, tmp_path, engine: str, cost: CostModel, recorder=None
+    followers: int, tmp_path, cost: CostModel, recorder=None
 ):
     """One configuration: returns (queries/sec, lag p50, lag p99)."""
 
     def factory():
-        return SWConnectivityEager(N, seed=13, cost=cost, engine=engine)
+        return SWConnectivityEager(N, seed=13, cost=cost)
 
     cfg = ServiceConfig(
         flush_edges=10**9,
@@ -152,7 +152,7 @@ def _run_config(
     return sum(answered) / wall, float(p50), float(p99)
 
 
-def test_replication_reads(record_table, record_json, benchmark, engine, tmp_path):
+def test_replication_reads(record_table, record_json, benchmark, tmp_path):
     state: dict = {}
 
     def run():
@@ -184,7 +184,7 @@ def test_replication_reads(record_table, record_json, benchmark, engine, tmp_pat
                     )
                 passes.append(
                     _run_config(
-                        k, tmp_path / f"p{i}", engine, cost, recorder=recorder
+                        k, tmp_path / f"p{i}", cost, recorder=recorder
                     )
                 )
                 if recorder is not None:

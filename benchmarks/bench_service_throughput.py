@@ -46,12 +46,12 @@ FLUSH_EDGES = 256
 SNAPSHOT_EVERY = 16
 
 
-def test_service_throughput(record_table, record_json, benchmark, engine, tmp_path):
+def test_service_throughput(record_table, record_json, benchmark, tmp_path):
     state: dict = {}
 
     def run():
         cost = CostModel()
-        sw = SWConnectivityEager(N, seed=13, cost=cost, engine=engine)
+        sw = SWConnectivityEager(N, seed=13, cost=cost)
         data_dir = tmp_path / f"svc-{len(state)}"
         TRACE_PATH.parent.mkdir(exist_ok=True)
         TRACE_PATH.unlink(missing_ok=True)

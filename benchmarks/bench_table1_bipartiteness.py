@@ -49,7 +49,7 @@ def _measure(model: str, ell: int, seed: int) -> float:
     return work / max(inserted, 1), cost
 
 
-def test_table1_row_bipartiteness(record_table, record_json, benchmark, engine):
+def test_table1_row_bipartiteness(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -80,7 +80,7 @@ def test_table1_row_bipartiteness(record_table, record_json, benchmark, engine):
         assert sw < N
 
 
-def test_verdict_tracks_window(record_table, benchmark, engine):
+def test_verdict_tracks_window(record_table, benchmark):
     rng = random.Random(21)
     sw = SWBipartiteness(64, seed=21)
     stream = bipartite_stream(64, rounds=24, batch_size=6, window=30, rng=rng, violation_every=4)
@@ -117,7 +117,7 @@ def test_verdict_tracks_window(record_table, benchmark, engine):
 
 
 @pytest.mark.parametrize("ell", [16, 256])
-def test_wallclock_round(benchmark, ell, engine):
+def test_wallclock_round(benchmark, ell):
     rng = random.Random(2)
     sw = SWBipartiteness(N, seed=2)
 

@@ -54,7 +54,7 @@ def _measure_inc(ell: int, seed: int) -> tuple[int, CostModel]:
     return total // max(1, sum(len(b.edges) for b in stream)), cost
 
 
-def test_table1_row_connectivity(record_table, record_json, benchmark, engine):
+def test_table1_row_connectivity(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -99,7 +99,7 @@ def test_table1_row_connectivity(record_table, record_json, benchmark, engine):
         assert sw_w < N  # far below any Omega(n)-per-edge bound
 
 
-def test_query_cost_logarithmic(record_table, benchmark, engine):
+def test_query_cost_logarithmic(record_table, benchmark):
     rng = random.Random(9)
     cost = CostModel()
     sw = SWConnectivityEager(N, seed=9, cost=cost)
@@ -121,7 +121,7 @@ def test_query_cost_logarithmic(record_table, benchmark, engine):
 
 
 @pytest.mark.parametrize("ell", [16, 256])
-def test_wallclock_window_round(benchmark, ell, engine):
+def test_wallclock_window_round(benchmark, ell):
     rng = random.Random(4)
     sw = SWConnectivityEager(N, seed=4)
     sw.batch_insert([(rng.randrange(N), rng.randrange(N)) for _ in range(2 * ell)])
@@ -134,7 +134,7 @@ def test_wallclock_window_round(benchmark, ell, engine):
     benchmark.pedantic(round_, rounds=3, iterations=1)
 
 
-def test_expire_work_scaling(record_table, benchmark, engine):
+def test_expire_work_scaling(record_table, benchmark):
     """Theorem 5.2: BatchExpire(delta) costs O(delta lg(1 + n/delta) + lg n)
     expected work in the eager structure (and O(1) in the lazy one)."""
 

@@ -67,7 +67,7 @@ def _measure_sw_approx(ell: int, eps: float, seed: int) -> tuple[float, CostMode
     return work / max(inserted, 1), cost
 
 
-def test_table1_row_msf(record_table, record_json, benchmark, engine):
+def test_table1_row_msf(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -121,7 +121,7 @@ def test_table1_row_msf(record_table, record_json, benchmark, engine):
         assert a01 < N  # never Omega(n) per edge (the fully-dynamic cost)
 
 
-def test_approximation_quality(record_table, benchmark, engine):
+def test_approximation_quality(record_table, benchmark):
     # Sanity companion: estimates really are within (1 + eps).
     rng = random.Random(5)
 
@@ -159,7 +159,7 @@ def test_approximation_quality(record_table, benchmark, engine):
 
 
 @pytest.mark.parametrize("ell", [32, 512])
-def test_wallclock_exact_batch(benchmark, ell, engine):
+def test_wallclock_exact_batch(benchmark, ell):
     rng = random.Random(7)
     m = BatchIncrementalMSF(N, seed=7)
 

@@ -27,7 +27,7 @@ def _fresh(seed: int, cost=None) -> SWSparsifier:
     return SWSparsifier(N, eps=1.0, seed=seed, cost=cost)
 
 
-def test_table1_row_sparsifier_insert_work(record_table, record_json, benchmark, engine):
+def test_table1_row_sparsifier_insert_work(record_table, record_json, benchmark):
     costs: list[CostModel] = []
 
     def sweep():
@@ -74,7 +74,7 @@ def test_table1_row_sparsifier_insert_work(record_table, record_json, benchmark,
     assert max(works) < 40 * min(works)
 
 
-def test_sparsifier_size_and_quality(record_table, benchmark, engine):
+def test_sparsifier_size_and_quality(record_table, benchmark):
     rng = random.Random(37)
 
     def run():
@@ -129,7 +129,7 @@ def test_sparsifier_size_and_quality(record_table, benchmark, engine):
 
 
 @pytest.mark.parametrize("ell", [32])
-def test_wallclock_insert(benchmark, ell, engine):
+def test_wallclock_insert(benchmark, ell):
     rng = random.Random(41)
     sp = _fresh(41)
 

@@ -32,7 +32,7 @@ def _forest(kind: str, n: int, seed: int) -> DynamicForest:
 
 
 @pytest.mark.parametrize("kind", ["path", "random-tree"])
-def test_cpt_work_scaling(record_table, record_json, benchmark, kind, engine):
+def test_cpt_work_scaling(record_table, record_json, benchmark, kind):
     f = _forest(kind, N, seed=3)
     rng = random.Random(99)
 
@@ -77,7 +77,7 @@ def test_cpt_work_scaling(record_table, record_json, benchmark, kind, engine):
 
 
 @pytest.mark.parametrize("ell", [2, 128, 2048])
-def test_wallclock_cpt(benchmark, ell, engine):
+def test_wallclock_cpt(benchmark, ell):
     f = _forest("random-tree", N, seed=4)
     rng = random.Random(5)
     marks = rng.sample(range(N), ell)

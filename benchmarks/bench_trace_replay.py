@@ -58,11 +58,11 @@ QUERY_BATCH = [
 ]
 
 
-def _record_trace(trace_path, data_dir, engine, cost):
+def _record_trace(trace_path, data_dir, cost):
     """Drive the live pipeline with capture on; returns (wall_s, rounds)."""
 
     def factory():
-        return SWConnectivityEager(N, seed=SEED, cost=cost, engine=engine)
+        return SWConnectivityEager(N, seed=SEED, cost=cost)
 
     trace_path.unlink(missing_ok=True)
     rng = random.Random(SEED)
@@ -95,27 +95,24 @@ def _record_trace(trace_path, data_dir, engine, cost):
     return wall, fp
 
 
-def test_trace_replay(record_table, record_json, benchmark, engine, tmp_path):
+def test_trace_replay(record_table, record_json, benchmark, tmp_path):
     state: dict = {}
     trace_path = RESULTS_DIR / "trace_replay.trace.jsonl"
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def run():
         cost = CostModel()
-        record_wall, live_fp = _record_trace(
-            trace_path, tmp_path / "rec", engine, cost
-        )
+        record_wall, live_fp = _record_trace(trace_path, tmp_path / "rec", cost)
         meta, events = read_trace(trace_path)
-        oracle, _ = trace_oracle(factory_from_meta(meta, engine=engine), events)
+        oracle, _ = trace_oracle(factory_from_meta(meta), events)
         assert state_fingerprint(oracle) == live_fp  # capture was faithful
 
         modes = [
-            ("1x preserved", ReplayConfig(engine=engine)),
-            ("8x preserved", ReplayConfig(engine=engine, speed=8.0)),
+            ("1x preserved", ReplayConfig()),
+            ("8x preserved", ReplayConfig(speed=8.0)),
             (
                 "re-batched",
                 ReplayConfig(
-                    engine=engine,
                     preserve_rounds=False,
                     service=ServiceConfig(flush_edges=64, snapshot_every=0),
                 ),
@@ -125,7 +122,7 @@ def test_trace_replay(record_table, record_json, benchmark, engine, tmp_path):
         for i, (label, cfg) in enumerate(modes):
             res = TraceReplayer(
                 (meta, events),
-                factory=factory_from_meta(meta, engine=engine),
+                factory=factory_from_meta(meta),
                 config=cfg,
                 data_dir=tmp_path / f"rp{i}",
             ).run()

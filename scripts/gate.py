@@ -5,11 +5,10 @@ Each golden trace under ``bench_results/traces/`` is a committed,
 CRC-checked workload recording (see ``docs/tracing.md``).  One gate run,
 per trace:
 
-1. **Determinism** (hard gate): the trace replays on *both* RC-tree
-   engines into byte-identical final state -- each replay must match the
-   trace oracle, its own fault-free WAL oracle, and the other engine's
-   fingerprint.  Any mismatch fails immediately; this is the
-   correctness half of the gate and has no tolerance band.
+1. **Determinism** (hard gate): every replay must reach byte-identical
+   final state -- matching both the trace oracle and its own fault-free
+   WAL oracle.  Any mismatch fails immediately; this is the correctness
+   half of the gate and has no tolerance band.
 2. **Performance** (banded gate): write p99 latency and reads/s are
    measured over ``--repeats`` replays (best-of, to shed scheduler
    noise) and compared against the trace's stored baseline
@@ -50,7 +49,6 @@ sys.path.insert(
 
 from repro.graphgen import bursty_stream  # noqa: E402
 from repro.trace import (  # noqa: E402
-    ReplayConfig,
     TraceReplayer,
     TraceWriter,
     read_trace,
@@ -65,7 +63,6 @@ TRACES_DIR = (
     / "bench_results"
     / "traces"
 )
-ENGINES = ("array", "object")
 #: Committed-baseline default bands: wide enough to hold across CI
 #: runner generations, tight enough that a real 10x p99 blowup (or a
 #: read path collapsing to 5% throughput) still trips.
@@ -141,47 +138,33 @@ def emit_trace(
 def measure(
     trace_path: pathlib.Path, repeats: int = 3
 ) -> tuple[bool, str, float, float]:
-    """Replay on both engines; returns ``(ok, why, p99_ms, reads_per_s)``.
+    """Replay ``repeats`` times; returns ``(ok, why, p99_ms, reads_per_s)``.
 
     ``ok`` covers the determinism gate: every replay byte-identical to
-    the trace oracle, its own WAL oracle, and across engines.  The perf
-    numbers are best-of-``repeats`` on the default (array) engine.
+    the trace oracle and to its own WAL oracle.  The perf numbers are
+    best-of-``repeats``.
     """
     meta, events = read_trace(trace_path)
-    fingerprints: dict[str, tuple] = {}
-    best_p99 = float("inf")
-    best_reads = 0.0
-    for engine in ENGINES:
-        runs = repeats if engine == ENGINES[0] else 1
-        for r in range(runs):
-            with tempfile.TemporaryDirectory(prefix="trace-gate-") as tmp:
-                result = TraceReplayer(
-                    (meta, events),
-                    factory=factory_from_meta(meta, engine=engine),
-                    config=ReplayConfig(engine=engine),
-                    data_dir=pathlib.Path(tmp) / "replay",
-                ).run()
-            if result.deterministic is False:
-                return (
-                    False,
-                    f"{engine} replay diverged from its WAL oracle",
-                    0.0,
-                    0.0,
-                )
-            fingerprints[engine] = result.fingerprint
-            if engine == ENGINES[0]:
-                best_p99 = min(best_p99, result.write_p99_ms)
-                best_reads = max(best_reads, result.reads_per_s)
     oracle, _ = trace_oracle(factory_from_meta(meta), events)
     want = state_fingerprint(oracle)
-    for engine, fp in fingerprints.items():
-        if fp != want:
+    best_p99 = float("inf")
+    best_reads = 0.0
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory(prefix="trace-gate-") as tmp:
+            result = TraceReplayer(
+                (meta, events), data_dir=pathlib.Path(tmp) / "replay"
+            ).run()
+        if result.deterministic is False:
+            return False, "replay diverged from its WAL oracle", 0.0, 0.0
+        if result.fingerprint != want:
             return (
                 False,
-                f"{engine} replay fingerprint differs from the trace oracle",
+                "replay fingerprint differs from the trace oracle",
                 0.0,
                 0.0,
             )
+        best_p99 = min(best_p99, result.write_p99_ms)
+        best_reads = max(best_reads, result.reads_per_s)
     return True, "", best_p99, best_reads
 
 
@@ -214,7 +197,6 @@ def gate_one(
                     "reads_tol": (
                         reads_tol if reads_tol is not None else DEFAULT_READS_TOL
                     ),
-                    "engines": list(ENGINES),
                 },
                 indent=2,
                 sort_keys=True,
@@ -262,7 +244,7 @@ def gate_one(
         "; ".join(failures)
         if failures
         else (
-            f"determinism ok (both engines), p99 {p99_ms:.3f}ms "
+            f"determinism ok, p99 {p99_ms:.3f}ms "
             f"<= {limit:.3f}ms, reads/s {reads_per_s:.0f} >= {floor:.0f}"
         )
     )

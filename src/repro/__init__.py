@@ -22,7 +22,7 @@ __version__ = "1.0.0"
 
 # Convenience top-level exports (the full surface lives in the subpackages).
 from repro.core import BatchIncrementalMSF, SequentialIncrementalMSF
-from repro.trees import DynamicForest, make_rc_forest, resolve_engine
+from repro.trees import DynamicForest
 from repro.runtime import CostModel
 
 __all__ = [
@@ -30,7 +30,5 @@ __all__ = [
     "SequentialIncrementalMSF",
     "DynamicForest",
     "CostModel",
-    "make_rc_forest",
-    "resolve_engine",
     "__version__",
 ]

@@ -29,12 +29,10 @@ class SequentialIncrementalMSF:
         n: int,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
-        engine: str | None = None,
     ) -> None:
         self.n = n
         self.cost = cost if cost is not None else CostModel()
-        self.forest = DynamicForest(n, seed=seed, cost=self.cost, engine=engine)
-        self.engine = self.forest.engine
+        self.forest = DynamicForest(n, seed=seed, cost=self.cost)
         self._next_eid = 0
         self._seen_eids: set[int] = set()
 

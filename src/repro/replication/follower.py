@@ -48,7 +48,7 @@ class Follower:
         fid: replica id (display/metrics only; unique per service).
         data_dir: the primary's data directory (shared storage).
         factory: builds the empty structure when no checkpoint exists;
-            must match the primary's (same ``n``, ``seed``, ``engine``).
+            must match the primary's (same ``n``, ``seed``).
         io: the storage seam for bootstrap reads and WAL tailing
             (default: real I/O); chaos tests inject faults here.
         retry: optional retry policy applied to *transient* storage

@@ -26,8 +26,8 @@ Wire protocol (newline-delimited JSON frames, one request per line;
   smoke job's teardown path).
 
 Structure construction is by *registry*: the worker must build the same
-deterministic factory as the primary (same class, ``n``, ``seed``,
-``engine``), so the CLI takes ``--structure <name> --n ... --seed ...``
+deterministic factory as the primary (same class, ``n``, ``seed``),
+so the CLI takes ``--structure <name> --n ... --seed ...``
 plus ``--kwargs`` JSON for the structures with extra parameters.
 """
 
@@ -64,7 +64,7 @@ from repro.sliding_window import (
 )
 
 #: Structures a worker (or ``python -m repro.gateway``) can serve.  Every
-#: entry takes ``(n, seed=..., engine=...)`` plus the listed extras.
+#: entry takes ``(n, seed=...)`` plus the listed extras.
 STRUCTURES: dict[str, type] = {
     "SWConnectivity": SWConnectivity,
     "SWConnectivityEager": SWConnectivityEager,
@@ -80,7 +80,6 @@ def build_factory(
     structure: str,
     n: int,
     seed: int,
-    engine: str | None = None,
     extra: dict | None = None,
 ) -> Callable[[], Any]:
     """A deterministic zero-argument factory for ``structure``.
@@ -99,8 +98,6 @@ def build_factory(
         ) from None
     kwargs = dict(extra or {})
     kwargs["seed"] = seed
-    if engine is not None:
-        kwargs["engine"] = engine
     return lambda: cls(n, **kwargs)
 
 
@@ -231,6 +228,12 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         except BadRequest as exc:
             return {"ok": False, "error": "bad_request", "message": str(exc)}
         m = get_metrics()
+
+        def read(s):
+            # The reply names the state it read: the LSN is taken under
+            # the replica lock, before a replay can advance it.
+            return answer_queries(s, queries), f.replayed_lsn
+
         try:
             if f.replayed_lsn < required:
                 # The token demands rounds this worker has not replayed:
@@ -245,19 +248,17 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                         "lsn": f.replayed_lsn,
                         "fid": f.fid,
                     }
-                answers = f.query(lambda s: answer_queries(s, queries))
+                answers, lsn = f.query(read)
             else:
                 # Busy avoidance, worker-side: ride out a short replay
                 # poll, but a lock held longer than busy_timeout makes
                 # the gateway try the next worker instead of queueing
                 # here (mirrors QueryService's BUSY routing).
-                answers = f.try_query(
-                    lambda s: answer_queries(s, queries),
-                    timeout=self.busy_timeout,
-                )
-                if answers is BUSY:
+                res = f.try_query(read, timeout=self.busy_timeout)
+                if res is BUSY:
                     m.counter("worker.busy").inc()
                     return {"ok": False, "error": "busy", "fid": f.fid}
+                answers, lsn = res
         except UnsupportedQuery as exc:
             return {
                 "ok": False,
@@ -276,7 +277,7 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         return {
             "ok": True,
             "answers": jsonable(answers),
-            "lsn": f.replayed_lsn,
+            "lsn": lsn,
             "fid": f.fid,
         }
 
@@ -308,7 +309,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=sorted(STRUCTURES))
     parser.add_argument("--n", type=int, required=True, help="vertex count (must match the primary)")
     parser.add_argument("--seed", type=int, default=0, help="structure seed (must match the primary)")
-    parser.add_argument("--engine", default=None, help="RC-tree engine (default: resolve normally)")
     parser.add_argument("--kwargs", default="{}",
                         help="extra structure kwargs as JSON (e.g. '{\"k\": 2}')")
     parser.add_argument("--fid", type=int, default=0, help="replica id (metrics/routing display)")
@@ -335,9 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     if not data_dir.is_dir():
         print(f"no such data directory: {data_dir}", file=sys.stderr)
         return 2
-    factory = build_factory(
-        args.structure, args.n, args.seed, args.engine, extra
-    )
+    factory = build_factory(args.structure, args.n, args.seed, extra)
     follower = Follower(args.fid, data_dir, factory)
     server = WorkerServer(
         (args.host, args.port),

@@ -122,8 +122,7 @@ def _compare_records(records) -> str:
     """A totals table comparing several records side by side.
 
     Rendered whenever ``--trace`` receives two or more records -- the
-    intended use is comparing the same benchmark run under different
-    engines (``params["engine"]``, stamped by the benchmark harness), with
+    intended use is comparing runs of the same benchmark, with
     wall-clock speedups computed against the *first* record given.
     """
     from repro.analysis.tables import format_table
@@ -136,7 +135,6 @@ def _compare_records(records) -> str:
         rows.append(
             [
                 rec.name,
-                rec.params.get("engine", "?"),
                 rec.totals.get("work", ""),
                 rec.totals.get("span", ""),
                 f"{wall:.3f}",
@@ -144,7 +142,7 @@ def _compare_records(records) -> str:
             ]
         )
     return format_table(
-        ["record", "engine", "work", "span", "wall_s", "speedup"],
+        ["record", "work", "span", "wall_s", "speedup"],
         rows,
         title=f"Record comparison (wall-clock speedup vs {records[0].name})",
     )
@@ -154,7 +152,7 @@ def render_trace(paths: list[pathlib.Path]) -> int:
     """Print the phase-tree table of each benchmark record in ``paths``.
 
     With two or more records, also print a side-by-side totals comparison
-    (engine tag, work/span, wall-clock speedup vs the first record).
+    (work/span, wall-clock speedup vs the first record).
     """
     from repro.obs.export import read_record
     from repro.obs.trace import render_phase_table

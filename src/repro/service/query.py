@@ -67,7 +67,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs.metrics import get_metrics
 from repro.runtime.cost import CostModel
@@ -200,6 +200,16 @@ def answer_queries(structure: Any, queries: Sequence[tuple]) -> list:
                 raise UnsupportedQuery(f"unknown query kind {kind!r}")
         _group_reads(structure, grouped, answers)
     return answers
+
+
+def _locked_read(
+    queries: Sequence[tuple], lsn_of: Callable[[], int]
+) -> Callable[[Any], tuple[list, int]]:
+    """The callable a replica runs under its lock: the answers plus the
+    LSN of the state they were read from.  ``lsn_of`` is called inside
+    the lock -- read after it, a round committed in between would make
+    the reply name a state it did not read."""
+    return lambda structure: (answer_queries(structure, queries), lsn_of())
 
 
 class QueryService:
@@ -393,7 +403,9 @@ class QueryService:
                 if self.breaker is not None and not self.breaker.allow(f.fid):
                     continue
                 try:
-                    res = f.try_query(lambda s: answer_queries(s, queries))
+                    res = f.try_query(
+                        _locked_read(queries, lambda: f.replayed_lsn)
+                    )
                 except Exception as exc:
                     if not self._is_replica_failure(exc):
                         raise
@@ -408,9 +420,10 @@ class QueryService:
                     continue
                 if self.breaker is not None:
                     self.breaker.record_success(f.fid)
-                lag = self.service.primary.next_lsn - f.replayed_lsn
+                answers, lsn = res
+                lag = self.service.primary.next_lsn - lsn
                 m.histogram("query.lag_rounds").observe(lag)
-                return res, f.replayed_lsn, f"follower{f.fid}", False
+                return answers, lsn, f"follower{f.fid}", False
             best = order[0]
         else:
             best = max(live, key=lambda f: f.replayed_lsn)
@@ -438,7 +451,9 @@ class QueryService:
                 else:  # redirect
                     need_primary = True
             if not need_primary:
-                answers = best.query(lambda s: answer_queries(s, queries))
+                answers, lsn = best.query(
+                    _locked_read(queries, lambda: best.replayed_lsn)
+                )
         except Exception as exc:
             if not self._is_replica_failure(exc):
                 raise
@@ -456,9 +471,9 @@ class QueryService:
             return self._read_primary(queries)
         if self.breaker is not None:
             self.breaker.record_success(best.fid)
-        lag = self.service.primary.next_lsn - best.replayed_lsn
+        lag = self.service.primary.next_lsn - lsn
         m.histogram("query.lag_rounds").observe(lag)
-        return answers, best.replayed_lsn, f"follower{best.fid}", False
+        return answers, lsn, f"follower{best.fid}", False
 
     def _wait_for(self, required: int):
         """Block until a live replica reaches ``required``; None means
@@ -504,8 +519,10 @@ class QueryService:
         if getattr(primary, "alive", True):
             m.counter("query.redirects").inc()
             try:
-                answers = primary.query(lambda s: answer_queries(s, queries))
-                return answers, primary.next_lsn, "primary", False
+                answers, lsn = primary.query(
+                    _locked_read(queries, lambda: primary.next_lsn)
+                )
+                return answers, lsn, "primary", False
             except Exception as exc:
                 if (
                     self.on_primary_down != "degrade"
@@ -541,7 +558,9 @@ class QueryService:
                     if not self._is_replica_failure(exc):
                         raise
                     m.counter("query.degraded_catchup_failures").inc()
-                answers = f.query(lambda s: answer_queries(s, queries))
+                answers, lsn = f.query(
+                    _locked_read(queries, lambda: f.replayed_lsn)
+                )
             except Exception as exc:
                 if not self._is_replica_failure(exc):
                     raise
@@ -550,7 +569,7 @@ class QueryService:
                     self.breaker.record_failure(f.fid)
                 continue
             m.counter("query.degraded_reads").inc()
-            return answers, f.replayed_lsn, f"follower{f.fid}", True
+            return answers, lsn, f"follower{f.fid}", True
         raise StalenessExceeded(
             "primary is down and no live replica could serve a degraded read"
         )

@@ -160,8 +160,7 @@ class BoundaryCoordinator:
         """``{vertex: component label}`` over one shard's forest edges.
 
         The label is the smallest vertex of the component -- a pure
-        function of the edge set, so both RC-tree engines and every
-        replica agree on it.
+        function of the edge set, so every replica agrees on it.
         """
         uf = _UnionFind()
         for u, v, _ in forest.values():

@@ -47,7 +47,6 @@ class SWApproxMSFWeight:
         max_weight: float,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
-        engine: str | None = None,
     ) -> None:
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -67,12 +66,9 @@ class SWApproxMSFWeight:
             CostModel(enabled=self.cost.enabled) for _ in range(self.num_levels)
         ]
         self._levels = [
-            SWConnectivityEager(
-                n, seed=seed + i, cost=self._level_costs[i], engine=engine
-            )
+            SWConnectivityEager(n, seed=seed + i, cost=self._level_costs[i])
             for i in range(self.num_levels)
         ]
-        self.engine = self._levels[0].engine
 
     def _threshold(self, i: int) -> float:
         return (1.0 + self.eps) ** i

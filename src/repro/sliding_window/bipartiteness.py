@@ -30,7 +30,6 @@ class SWBipartiteness:
         n: int,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
-        engine: str | None = None,
     ) -> None:
         self.n = n
         self.cost = cost if cost is not None else CostModel()
@@ -39,11 +38,8 @@ class SWBipartiteness:
         # (Section 5.2): each gets a sub-model, composed as sum-work/max-span.
         self._g_cost = CostModel(enabled=self.cost.enabled)
         self._cover_cost = CostModel(enabled=self.cost.enabled)
-        self._g = SWConnectivityEager(n, seed=seed, cost=self._g_cost, engine=engine)
-        self._cover = SWConnectivityEager(
-            2 * n, seed=seed + 1, cost=self._cover_cost, engine=engine
-        )
-        self.engine = self._g.engine
+        self._g = SWConnectivityEager(n, seed=seed, cost=self._g_cost)
+        self._cover = SWConnectivityEager(2 * n, seed=seed + 1, cost=self._cover_cost)
 
     def batch_insert(self, edges: Sequence[tuple[int, int]]) -> None:
         """Insert edges into the window graph and its double cover."""

@@ -34,13 +34,11 @@ class SWConnectivity:
         n: int,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
-        engine: str | None = None,
     ) -> None:
         self.n = n
         self.cost = cost if cost is not None else CostModel()
         self.clock = WindowClock()
-        self._msf = BatchIncrementalMSF(n, seed=seed, cost=self.cost, engine=engine)
-        self.engine = self._msf.engine
+        self._msf = BatchIncrementalMSF(n, seed=seed, cost=self.cost)
 
     def batch_insert(
         self, edges: Sequence[tuple[int, int]], taus: Sequence[int] | None = None
@@ -146,9 +144,8 @@ class SWConnectivityEager(SWConnectivity):
         n: int,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
-        engine: str | None = None,
     ) -> None:
-        super().__init__(n, seed=seed, cost=cost, engine=engine)
+        super().__init__(n, seed=seed, cost=cost)
         self._d = Treap(cost=self.cost)
 
     def batch_insert(

@@ -33,12 +33,10 @@ class SWCycleFree:
         n: int,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
-        engine: str | None = None,
     ) -> None:
         self.cost = cost if cost is not None else CostModel()
         self.clock = WindowClock()
-        self._cert = SWKCertificate(n, k=2, seed=seed, cost=self.cost, engine=engine)
-        self.engine = self._cert.engine
+        self._cert = SWKCertificate(n, k=2, seed=seed, cost=self.cost)
         self._loop_taus: list[int] = []  # arrival positions of self-loops
 
     def batch_insert(self, edges: Sequence[tuple[int, int]]) -> None:

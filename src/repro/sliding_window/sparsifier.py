@@ -64,7 +64,6 @@ class SWSparsifier:
         sample_const: float = 1.0,
         seed: int = 0x5EED,
         cost: CostModel | None = None,
-        engine: str | None = None,
     ) -> None:
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -93,7 +92,7 @@ class SWSparsifier:
                 sub = CostModel(enabled=self.cost.enabled)
                 self._conn_costs[(i, j)] = sub
                 self._conn[(i, j)] = SWConnectivity(
-                    n, seed=seed ^ (i * 1009 + j * 9176), cost=sub, engine=engine
+                    n, seed=seed ^ (i * 1009 + j * 9176), cost=sub
                 )
                 if i == 0:
                     break  # G_0^(j) = G for every j; one instance suffices
@@ -106,11 +105,9 @@ class SWSparsifier:
                 k=self.cert_k,
                 seed=seed ^ (0xABCD + i),
                 cost=self._cert_costs[i],
-                engine=engine,
             )
             for i in range(self.levels + 1)
         ]
-        self.engine = self._certs[0].engine
 
     # -- sampling ----------------------------------------------------------
 

@@ -15,9 +15,9 @@ Blelloch, Dhulipala and Westrick [2] that the paper builds on (Section 2.2):
   Weight).
 - :mod:`repro.trees.rcarray` -- a NumPy structure-of-arrays port of the
   same contraction (identical coin flips, snapshots and cost charges)
-  whose level passes run as vectorized array sweeps; selected via
-  :mod:`repro.trees.engine` (``engine="array"`` is the default,
-  overridable with ``$REPRO_ENGINE``).
+  whose level passes run as vectorized array sweeps.  It is the engine
+  :class:`DynamicForest` runs on; ``RCForest`` stays as the reference
+  model the differential tests compare it against.
 - :mod:`repro.trees.cpt` -- the compressed path tree (Section 3,
   Algorithm 1), re-exported by :mod:`repro.core` as the paper's key
   ingredient.
@@ -28,14 +28,7 @@ Blelloch, Dhulipala and Westrick [2] that the paper builds on (Section 2.2):
 from repro.trees.cluster import ClusterNode, ClusterKind
 from repro.trees.ternary import TernaryForest
 from repro.trees.rcforest import RCForest
-from repro.trees.rcarray import RCArrayForest
-from repro.trees.engine import (
-    ComponentSummary,
-    DEFAULT_ENGINE,
-    ENGINES,
-    make_rc_forest,
-    resolve_engine,
-)
+from repro.trees.rcarray import ComponentSummary, RCArrayForest
 from repro.trees.forest import DynamicForest
 from repro.trees.cpt import CompressedPathTree, PathAggregate, compressed_path_trees
 
@@ -46,10 +39,6 @@ __all__ = [
     "RCForest",
     "RCArrayForest",
     "ComponentSummary",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "make_rc_forest",
-    "resolve_engine",
     "DynamicForest",
     "CompressedPathTree",
     "PathAggregate",

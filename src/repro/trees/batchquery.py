@@ -18,11 +18,12 @@ vertex pairs in two level-synchronous sweeps over the RC tree:
   answer is the max of the two side aggregates oriented toward
   ``rep(M)``.
 
-Three implementations exist: this module's scalar loops (the object
-engine always, and ``RCArrayForest`` under ``DENSE_THRESHOLD``) and the
-vectorized NumPy sweep in :mod:`repro.trees.rcarray`.  All three must
-return identical answers **and charge identical work/span to identical
-phases** -- the cross-engine differential tests compare per-op charges.
+Three implementations exist: this module's scalar loops (the
+``RCForest`` reference model always, and ``RCArrayForest`` under
+``DENSE_THRESHOLD``) and the vectorized NumPy sweep in
+:mod:`repro.trees.rcarray`.  All three must return identical answers
+**and charge identical work/span to identical phases** -- the
+differential tests compare per-op charges.
 The contract, which every implementation replicates exactly:
 
 - ``bq-roots``: ``work = 2 l + sum_r |frontier_r| + l`` where

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from repro.runtime.cost import CostModel
 from repro.trees.cpt import CompressedPathTree
-from repro.trees.engine import make_rc_forest
+from repro.trees.rcarray import RCArrayForest
 from repro.trees.ternary import TernaryForest
 
 
@@ -32,19 +32,16 @@ class DynamicForest:
         seed: int = 0x5EED,
         cost: CostModel | None = None,
         compress_rule: str = "mr",
-        engine: str | None = None,
     ) -> None:
         self.n = n
         self.cost = cost if cost is not None else CostModel(enabled=False)
         self.ternary = TernaryForest(n)
-        self.rc = make_rc_forest(
-            engine,
+        self.rc = RCArrayForest(
             vertices=range(n),
             seed=seed,
             cost=self.cost,
             compress_rule=compress_rule,
         )
-        self.engine = self.rc.engine
         self._edge_info: dict[int, tuple[int, int, float]] = {}
 
     # ------------------------------------------------------------------
@@ -157,7 +154,7 @@ class DynamicForest:
 
     def batch_connected(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
         """:meth:`connected` for a whole batch of pairs in one shared
-        root-walk sweep (phase ``batch-query`` wrapping the engine's
+        root-walk sweep (phase ``batch-query`` wrapping the RC forest's
         ``bq-roots``); ``l`` queries cost ``O(l lg(1 + n/l))`` expected
         work at ``O(lg n)`` span instead of ``l`` root walks."""
         mapped = self._canonical_pairs(pairs)
@@ -172,7 +169,7 @@ class DynamicForest:
         """:meth:`path_max` for a whole batch of pairs; ``None`` per pair
         when disconnected or ``u == v``.
 
-        One shared engine sweep (phase ``batch-query`` wrapping
+        One shared RC-forest sweep (phase ``batch-query`` wrapping
         ``bq-roots``/``bq-paths``) instead of one compressed path tree
         per query; answers match :meth:`path_max` exactly.  Virtual
         ternarization links weigh ``-inf`` with negative eids, so a real

@@ -1,11 +1,12 @@
-"""Array-backed RC forest: a NumPy structure-of-arrays contraction engine.
+"""Array-backed RC forest: the NumPy structure-of-arrays contraction engine.
 
-This is a faithful port of :class:`repro.trees.rcforest.RCForest` (the
-object engine) to flat NumPy storage.  Both engines make the same coin
-flips, run the same per-level decision rules, and maintain the same
-leveled contraction and RC tree -- ``snapshot()`` of the two engines is
-*equal* for the same (edge set, seed), and every operation charges the
-same simulated work/span to the same :class:`~repro.runtime.CostModel`
+This is the RC forest :class:`~repro.trees.forest.DynamicForest` runs on,
+a faithful port of :class:`repro.trees.rcforest.RCForest` (the reference
+model, kept for tests and Figure 2) to flat NumPy storage.  Both make the
+same coin flips, run the same per-level decision rules, and maintain the
+same leveled contraction and RC tree -- their ``snapshot()`` is *equal*
+for the same (edge set, seed), and every operation charges the same
+simulated work/span to the same :class:`~repro.runtime.CostModel`
 phases.  What differs is the machine cost: the hot passes (per-level
 decision sweeps, adjacency diff pushes, cluster aggregate rebuilds, CPT
 expansion) run as vectorized array operations over int64/float64 columns
@@ -36,21 +37,20 @@ Small frontiers take a scalar path (Python loops over the same arrays);
 frontiers of at least ``DENSE_THRESHOLD`` vertices take the vectorized
 path.  Both compute identical states and identical cost charges, which
 the differential test suite (``tests/test_engine_differential.py``)
-checks against the object engine.
+checks against each other and against the reference model.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from repro.runtime.cost import CostModel, log2ceil
 from repro.runtime.hashing import HashBits
 from repro.trees import batchquery
-from repro.trees.engine import ComponentSummary
 from repro.trees.ternary import InternalLink
 
 _MAX_LEVELS = 4096  # hard safety cap; ~lg n levels are used in practice
@@ -69,6 +69,15 @@ _FNV = _U64(0x100000001B3)
 _SM_GAMMA = _U64(0x9E3779B97F4A7C15)
 _SM_M1 = _U64(0xBF58476D1CE4E5B9)
 _SM_M2 = _U64(0x94D049BB133111EB)
+
+
+class ComponentSummary(NamedTuple):
+    """Root-cluster aggregates of one component (``component_summary``)."""
+
+    sub_verts: int
+    sub_edges: int
+    sub_sum: float
+    diam: tuple[float, int, int]
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
@@ -141,8 +150,6 @@ class RCArrayForest:
     difference for callers that only compare identities).
     """
 
-    engine = "array"
-
     #: Frontier/bucket size at which level passes switch from the scalar
     #: loop to the vectorized path.  Both paths are state- and
     #: cost-identical; tests pin this to force either one.
@@ -192,7 +199,7 @@ class RCArrayForest:
         self._nn = 0
         self._alloc_nodes(256)
         self._nkids: list[list[int] | None] = []
-        # Indexes (level-tagged, mirroring the object engine).
+        # Indexes (level-tagged, mirroring ``RCForest``).
         self.eleaf: dict[int, int] = {}
         # Keyed by the packed sorted endpoint pair ``(a << 32) | b``
         # (cheaper to hash than a tuple); values are ``(node, level)``.
@@ -693,11 +700,11 @@ class RCArrayForest:
 
         # Level-0 adjacency edits accumulate in per-vertex neighbour sets
         # and flush back to the sorted rows once per touched vertex -- also
-        # on the error paths, which must leave exactly the object engine's
+        # on the error paths, which must leave exactly ``RCForest``'s
         # partially-applied adjacency state.
         cache: dict[int, set[int]] = {}
         # New edge-leaf column writes batch into one scatter (applied in
-        # the ``finally`` so error paths keep object-engine parity: rows
+        # the ``finally`` so error paths keep ``RCForest`` parity: rows
         # for every processed link are written, later links never exist).
         lleaf: list[int] = []
         lla: list[int] = []
@@ -1288,7 +1295,7 @@ class RCArrayForest:
     # ------------------------------------------------------------------
 
     def _drain_rebuilds(self) -> None:
-        # The object engine drains a single heap of (top level, vertex),
+        # ``RCForest`` drains a single heap of (top level, vertex),
         # deduplicating marks against in-heap entries; marks travel to the
         # contraction level of their target, which is never below the level
         # being processed (stale same-level parents are always already
@@ -1317,7 +1324,7 @@ class RCArrayForest:
         """Route one rebuild mark raised while draining level ``_dlvl``.
 
         Future-level marks go to their bucket (sets dedup, matching the
-        object engine's in-heap dedup).  Same-level marks follow the heap
+        ``RCForest``'s in-heap dedup).  Same-level marks follow the heap
         semantics: swallowed while the target is still pending, otherwise
         re-enqueued for (re-)execution after the marker.
         """
@@ -1330,7 +1337,7 @@ class RCArrayForest:
 
     def _process_level(self, lvl: int, B: list[int]) -> int:
         """Rebuild one level's pending set with the exact execution
-        multiset of the object engine's heap drain.
+        multiset of ``RCForest``'s heap drain.
 
         Same-level rebuilds only read strictly-lower-level cluster state,
         so they commute; and re-executing an already-rebuilt vertex is
@@ -1418,7 +1425,7 @@ class RCArrayForest:
 
     def _rake_fold(self, v: int, kids: list[int]):
         """Fold the rake group around ``v`` (same order/association as the
-        object engine's ``_rebuild_comp`` loop)."""
+        ``RCForest``'s ``_rebuild_comp`` loop)."""
         mw, mv = 0.0, v
         gdw, gdx, gdy = 0.0, v, v
         gv, ge, gs = 1, 0, 0.0
@@ -1669,7 +1676,7 @@ class RCArrayForest:
         olds: list[list[int] | None] = [nkids[x] for x in nl0]
         kids_all: list[list[int]] = [[vf] for vf in vleafs]
         # One- and two-raker groups (the overwhelmingly common cases) fold
-        # vectorized below; larger groups replay the object engine's loop.
+        # vectorized below; larger groups replay ``RCForest``'s loop.
         single_k: list[int] = []
         single_rw: list[int] = []
         dbl_k: list[int] = []
@@ -1969,8 +1976,8 @@ class RCArrayForest:
         # Children bookkeeping: guarded resets for dropped children first,
         # then parent pointers for the new lists.  Clearing every old child
         # whose parent pointer still names its rebuilt node and then
-        # re-scattering the new lists is order-equivalent to the object
-        # engine's per-vertex interleaving (kept children are restored by
+        # re-scattering the new lists is order-equivalent to
+        # ``RCForest``'s per-vertex interleaving (kept children are restored by
         # the scatter; children owned by other nodes fail the guard).
         npar = self._npar
         fo: list[int] = []
@@ -2032,7 +2039,7 @@ class RCArrayForest:
     def compressed_path_trees(self, marked, cost: CostModel | None = None):
         """Compressed path trees of every component containing a marked
         vertex; identical output, phases, and charges as running
-        :func:`repro.trees.cpt.compressed_path_trees` on the object engine.
+        :func:`repro.trees.cpt.compressed_path_trees` on ``RCForest``.
         """
         from repro.trees.cpt import CompressedPathTree, PathAggregate
 
@@ -2275,7 +2282,7 @@ class RCArrayForest:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Canonical contraction snapshot, equal to the object engine's
+        """Canonical contraction snapshot, equal to ``RCForest``'s
         ``snapshot()`` for the same (edge set, seed)."""
         levels = []
         for i in range(len(self._Ld)):

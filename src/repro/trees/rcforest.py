@@ -89,7 +89,7 @@ class _ObjectAdapter:
     def _bin_child(self, P, b):
         # The binary child adjacent to boundary vertex ``b`` of P.  The
         # other binary child's boundary is {rep(P), other-b}, so the
-        # match is unambiguous (the array engine stores this as _ne1/_ne2).
+        # match is unambiguous (``RCArrayForest`` stores this as _ne1/_ne2).
         for c in P.children:
             if c.is_binary() and b in c.boundary:
                 return c
@@ -137,8 +137,6 @@ class RCForest:
     :meth:`batch_update`, which applies cuts and links in one change
     propagation pass.
     """
-
-    engine = "object"
 
     def __init__(
         self,
@@ -310,7 +308,7 @@ class RCForest:
 
     def component_summary(self, v: int):
         """Root-cluster aggregates of ``v``'s component, engine-neutral."""
-        from repro.trees.engine import ComponentSummary
+        from repro.trees.rcarray import ComponentSummary
 
         root = self.root_cluster(v)
         return ComponentSummary(

@@ -1,4 +1,5 @@
-"""Shared test utilities: random graph construction and networkx oracles."""
+"""Shared test utilities: random graph construction, networkx oracles,
+and the ``RCForest`` reference model swapped into a ``DynamicForest``."""
 
 from __future__ import annotations
 
@@ -8,6 +9,27 @@ import networkx as nx
 import numpy as np
 
 from repro.msf.graph import EdgeArray
+from repro.trees import DynamicForest, RCForest
+
+
+def with_reference_rc(forest: DynamicForest) -> DynamicForest:
+    """Swap the ``RCForest`` reference model in as ``forest.rc``.
+
+    Must run before the first update.  The reference is built with a
+    disabled cost model and only then handed the forest's model: the
+    construction the forest already charged (``RCArrayForest`` on the
+    same vertices and seed) is charge-identical to the reference's own,
+    so the swapped forest's cost model ends up charged exactly like an
+    untouched one.  Returns ``forest`` for chaining.
+    """
+    rc = forest.rc
+    assert forest.num_edges == 0 and rc.num_vertices == forest.n
+    ref = RCForest(
+        vertices=range(forest.n), seed=rc.seed, compress_rule=rc.compress_rule
+    )
+    ref.cost = rc.cost
+    forest.rc = ref
+    return forest
 
 
 def random_edge_array(

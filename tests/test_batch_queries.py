@@ -2,11 +2,12 @@
 
 The vectorized batch reads (``batch_is_connected`` / ``batch_path_max``;
 docs/batch_queries.md) have three implementations -- the shared scalar
-reference (:mod:`repro.trees.batchquery`), used by the object engine and
-by the array engine under ``DENSE_THRESHOLD``, and the array engine's
-NumPy level sweep.  All three must return the answers of the per-query
-oracles and charge identical work/span to identical phases; Hypothesis
-drives all three through identical random forests and pair batches.
+reference (:mod:`repro.trees.batchquery`), used by the ``RCForest``
+reference model and by the array engine under ``DENSE_THRESHOLD``, and
+the array engine's NumPy level sweep.  All three must return the
+answers of the per-query oracles and charge identical work/span to
+identical phases; Hypothesis drives all three through identical random
+forests and pair batches.
 
 Reads must also be *pure*: interleaving batch reads with an insert
 stream must leave the maintained MSF byte-identical.  And the service
@@ -29,6 +30,7 @@ from repro.runtime import CostModel, measure
 from repro.service import UnsupportedQuery
 from repro.service.query import answer_queries
 from repro.trees import DynamicForest
+from tests.helpers import with_reference_rc
 
 # Small vertex counts force shared ancestors, repeated endpoints,
 # self-pairs, and cross-component pairs in nearly every example.
@@ -51,16 +53,16 @@ def _strip_wall(d):
 
 
 def _forest_trio(seed=5):
-    """(object, array-scalar, array-dense) forests with their models.
+    """(reference, array-scalar, array-dense) forests with their models.
 
     The third forest forces the dense SoA sweep for *every* batch read
     via the ``DENSE_THRESHOLD`` instance override, so each example
     exercises both array read paths.
     """
     co, ca, cd = CostModel(), CostModel(), CostModel()
-    fo = DynamicForest(N, seed=seed, cost=co, engine="object")
-    fa = DynamicForest(N, seed=seed, cost=ca, engine="array")
-    fd = DynamicForest(N, seed=seed, cost=cd, engine="array")
+    fo = with_reference_rc(DynamicForest(N, seed=seed, cost=co))
+    fa = DynamicForest(N, seed=seed, cost=ca)
+    fd = DynamicForest(N, seed=seed, cost=cd)
     fd.rc.DENSE_THRESHOLD = 0
     return (fo, co), (fa, ca), (fd, cd)
 
@@ -72,7 +74,7 @@ class TestKernelDifferential:
         (fo, co), (fa, ca), (fd, cd) = _forest_trio()
         # Per-query oracle runs on its own forest so the compared cost
         # models only ever see links + batch reads.
-        oracle = DynamicForest(N, seed=5, engine="object")
+        oracle = with_reference_rc(DynamicForest(N, seed=5))
         # Union-find keeps every batch a forest batch (acyclic after
         # in-batch links too), mirroring the CPT differential test.
         parent = list(range(N))
@@ -135,8 +137,9 @@ class TestKernelDifferential:
     @given(batches=_BATCHES, pairs=_PAIRS)
     @settings(deadline=None)
     def test_msf_batch_reads_match_per_query(self, batches, pairs):
-        mo = BatchIncrementalMSF(N, seed=5, engine="object")
-        ma = BatchIncrementalMSF(N, seed=5, engine="array")
+        mo = BatchIncrementalMSF(N, seed=5)
+        with_reference_rc(mo.forest)
+        ma = BatchIncrementalMSF(N, seed=5)
         for batch in batches:
             rows = [(u, v, w) for u, v, w in batch if u != v]
             mo.batch_insert(rows)
@@ -180,9 +183,12 @@ class TestReadsDoNotMutate:
             ]
             for _ in range(5)
         ]
-        quiet = BatchIncrementalMSF(N, seed=7, engine=engine)
-        noisy = BatchIncrementalMSF(N, seed=7, engine=engine)
-        if engine == "array":
+        quiet = BatchIncrementalMSF(N, seed=7)
+        noisy = BatchIncrementalMSF(N, seed=7)
+        if engine == "object":
+            with_reference_rc(quiet.forest)
+            with_reference_rc(noisy.forest)
+        else:
             # Exercise the dense sweep on the read-heavy copy too.
             noisy.forest.rc.DENSE_THRESHOLD = 0
         for batch in batches:

@@ -8,7 +8,7 @@ is the acceptance soak: a seeded :class:`ChaosSchedule` of >= 50
 adversities (follower kills/restarts, storage fault windows, primary
 kills with failover) played against a live replicated service, after
 which every surviving node must be byte-identical to the fault-free
-oracle replayed from the winning WAL chain -- on both RC-tree engines.
+oracle replayed from the winning WAL chain.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ OPS = [("i", ((0, 1),))]
 NO_SLEEP = lambda s: None  # noqa: E731
 
 
-def make_sw(engine=None):
-    return SWConnectivityEager(N, seed=SEED, engine=engine)
+def make_sw():
+    return SWConnectivityEager(N, seed=SEED)
 
 
 def fingerprint(sw):
@@ -505,8 +505,8 @@ class TestChaosSchedule:
 
 
 class TestChaosDriver:
-    def run_tape(self, tmp_path, seed=7, rounds=60, engine=None):
-        factory = lambda: make_sw(engine)  # noqa: E731
+    def run_tape(self, tmp_path, seed=7, rounds=60):
+        factory = make_sw
         faults = FaultyIO(
             seed=seed,
             p_write_error=0.3,
@@ -573,12 +573,11 @@ class TestChaosDriver:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ["array", "object"])
 @pytest.mark.parametrize("seed", [7, 21])
-def test_chaos_soak_converges_on_oracle(tmp_path, engine, seed):
+def test_chaos_soak_converges_on_oracle(tmp_path, seed):
     """>= 50 seeded adversities; every node must match the replay oracle."""
     rounds = 120
-    factory = lambda: make_sw(engine)  # noqa: E731
+    factory = make_sw
     faults = FaultyIO(
         seed=seed,
         p_write_error=0.3,

@@ -99,7 +99,7 @@ def test_coverage_flags_missing_module(tmp_path):
 
 
 def test_every_engine_batch_method_is_documented():
-    """Every public ``batch_*`` method on the engine seam has a doc
+    """Every public ``batch_*`` method of the RC-tree layer has a doc
     mention (docs/batch_queries.md covers the read kernels)."""
     mod = _load_check_docs()
     assert mod.check_batch_method_coverage(mod.default_targets()) == []

@@ -1,20 +1,30 @@
-"""Cross-engine differential tests: object vs array RC-tree engines.
+"""Differential tests: the serving RC-tree engine against its reference.
 
-The array engine (``repro.trees.rcarray``) is required to be *extensionally
-identical* to the object engine: same query answers, same compressed path
-trees, same maintained MSF, and -- because both charge the simulated cost
-model through the same accounting contract -- the same work/span for every
-operation.  Hypothesis drives both engines through identical random batch
-streams and compares everything after every step.
+``RCArrayForest`` (``repro.trees.rcarray``, what ``DynamicForest`` runs
+on) is required to be *extensionally identical* to the ``RCForest``
+reference model: same query answers, same compressed path trees, same
+maintained MSF, and -- because both charge the simulated cost model
+through the same accounting contract -- the same work/span for every
+operation.  The reference is swapped in with
+:func:`tests.helpers.with_reference_rc`.  Hypothesis drives both through
+identical random batch streams and compares everything after every step.
+
+The same cases also pin the array engine's scalar/dense crossover: extra
+copies with ``DENSE_THRESHOLD`` forced to 0 (every pass vectorized) and
+to ``10**9`` (every pass scalar) must match the default-threshold engine
+and the reference in ``snapshot()``, MSF edge ids, CPTs and per-op
+(work, span).
 
 Seeded determinism rides along: a (stream, seed) pair must reproduce
-byte-identical MSF edge ids and phase trees on *both* engines across
-independent runs, which is what makes the benchmark A/B comparisons in
-``benchmarks/`` meaningful.
+byte-identical MSF edge ids and phase trees on both across independent
+runs, and the golden fingerprints below pin three seeded streams against
+changes to code both share (ternarization, batch queries, hashing,
+Algorithm 2), which a differential between them cannot see.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -25,7 +35,8 @@ from repro.core import BatchIncrementalMSF
 from repro.msf.graph import EdgeArray
 from repro.msf.kruskal import kruskal_msf
 from repro.runtime import CostModel, measure
-from repro.trees import DynamicForest
+from repro.trees import DynamicForest, RCArrayForest, RCForest
+from tests.helpers import with_reference_rc
 
 # Small vertex counts + a coarse weight pool force collisions: parallel
 # edges, weight ties (broken by eid), repeated endpoints, self-loops.
@@ -41,13 +52,28 @@ _QUERY_PAIRS = [
     (0, 1), (2, 7), (3, 11), (5, 6), (8, 9), (4, 10), (1, 11), (0, 6),
 ]
 
+#: Forced ``DENSE_THRESHOLD`` values: every pass dense, every pass scalar.
+_THRESHOLDS = (0, 10**9)
+
 
 def _build_pair(n=N, seed=5):
-    """Fresh (object, array) MSF pair sharing nothing but the seed."""
+    """Fresh (reference, array) MSF pair sharing nothing but the seed."""
     co, ca = CostModel(), CostModel()
-    mo = BatchIncrementalMSF(n, seed=seed, cost=co, engine="object")
-    ma = BatchIncrementalMSF(n, seed=seed, cost=ca, engine="array")
+    mo = BatchIncrementalMSF(n, seed=seed, cost=co)
+    with_reference_rc(mo.forest)
+    ma = BatchIncrementalMSF(n, seed=seed, cost=ca)
     return mo, ma, co, ca
+
+
+def _build_pinned(n=N, seed=5):
+    """Array MSFs with the scalar/dense crossover forced each way."""
+    pinned = []
+    for threshold in _THRESHOLDS:
+        cost = CostModel()
+        m = BatchIncrementalMSF(n, seed=seed, cost=cost)
+        m.forest.rc.DENSE_THRESHOLD = threshold
+        pinned.append((m, cost))
+    return pinned
 
 
 def _kruskal_edges(n, edges):
@@ -63,6 +89,7 @@ class TestBatchMSFDifferential:
     @settings(deadline=None)
     def test_engines_agree_on_everything(self, batches):
         mo, ma, co, ca = _build_pair()
+        pinned = _build_pinned()
         all_edges = []
         next_eid = 0
         for batch in batches:
@@ -95,14 +122,25 @@ class TestBatchMSFDifferential:
             for u, v in _QUERY_PAIRS:
                 assert mo.connected(u, v) == ma.connected(u, v)
                 assert mo.heaviest_edge(u, v) == ma.heaviest_edge(u, v)
+
+            # The forced-threshold copies: same op charges, contraction
+            # and MSF as the default threshold and the reference.
+            snap = ma.forest.rc.snapshot()
+            assert snap == mo.forest.rc.snapshot()
+            for m, cost in pinned:
+                with measure(cost) as op_p:
+                    m.batch_insert(rows)
+                assert (op_p.work, op_p.span) == (op_a.work, op_a.span)
+                assert m.forest.rc.snapshot() == snap
+                assert m.msf_edges() == msf_o
         assert (co.work, co.span) == (ca.work, ca.span)
 
     @given(batches=_BATCHES)
     @settings(deadline=None)
     def test_summary_queries_agree(self, batches):
         mo, ma, _, _ = _build_pair()
-        assert mo.engine == "object"
-        assert ma.engine == "array"
+        assert isinstance(mo.forest.rc, RCForest)
+        assert isinstance(ma.forest.rc, RCArrayForest)
         for batch in batches:
             rows = [(u, v, w) for u, v, w in batch if u != v]
             mo.batch_insert(rows)
@@ -120,8 +158,13 @@ class TestCPTDifferential:
     )
     @settings(deadline=None)
     def test_compressed_path_trees_identical(self, batches, marks, seed):
-        fo = DynamicForest(N, seed=seed, engine="object")
-        fa = DynamicForest(N, seed=seed, engine="array")
+        fo = with_reference_rc(DynamicForest(N, seed=seed))
+        fa = DynamicForest(N, seed=seed)
+        pinned = []
+        for threshold in _THRESHOLDS:
+            f = DynamicForest(N, seed=seed)
+            f.rc.DENSE_THRESHOLD = threshold
+            pinned.append(f)
         # Union-find over accepted edges keeps every batch a forest batch
         # (links must be acyclic *after* in-batch links too).
         parent = list(range(N))
@@ -158,6 +201,17 @@ class TestCPTDifferential:
             assert cpt_o.marked == cpt_a.marked
             assert (co.work, co.span) == (ca.work, ca.span)
 
+            snap = fa.rc.snapshot()
+            assert snap == fo.rc.snapshot()
+            for f in pinned:
+                f.batch_link(links)
+                f.cost = cp = CostModel()
+                cpt_p = f.compressed_path_tree(marks)
+                assert f.rc.snapshot() == snap
+                assert (cpt_p.vertices, cpt_p.edges) == (cpt_a.vertices, cpt_a.edges)
+                assert cpt_p.aggregates == cpt_a.aggregates
+                assert (cp.work, cp.span) == (ca.work, ca.span)
+
 
 def _strip_wall(d):
     """Drop the ``wall_s`` measurement (real time is never deterministic;
@@ -169,28 +223,36 @@ def _strip_wall(d):
     }
 
 
+def _stream(seed):
+    rng = random.Random(seed)
+    batches = []
+    for _ in range(5):
+        batches.append(
+            [
+                (rng.randrange(24), rng.randrange(24), float(rng.randrange(9)))
+                for _ in range(rng.randrange(1, 14))
+            ]
+        )
+    return batches
+
+
+def _run_stream(seed, reference=False):
+    """Run :func:`_stream` through a fresh MSF; returns it and its cost."""
+    cost = CostModel()
+    m = BatchIncrementalMSF(24, seed=seed, cost=cost)
+    if reference:
+        with_reference_rc(m.forest)
+    for batch in _stream(seed):
+        m.batch_insert([(u, v, w) for u, v, w in batch if u != v])
+    return m, cost
+
+
 class TestSeededDeterminism:
     """Same stream + same seed => byte-identical results, run to run."""
 
     @staticmethod
-    def _stream(seed):
-        rng = random.Random(seed)
-        batches = []
-        for _ in range(5):
-            batches.append(
-                [
-                    (rng.randrange(24), rng.randrange(24), float(rng.randrange(9)))
-                    for _ in range(rng.randrange(1, 14))
-                ]
-            )
-        return batches
-
-    @classmethod
-    def _run(cls, engine, seed):
-        cost = CostModel()
-        m = BatchIncrementalMSF(24, seed=seed, cost=cost, engine=engine)
-        for batch in cls._stream(seed):
-            m.batch_insert([(u, v, w) for u, v, w in batch if u != v])
+    def _run(engine, seed):
+        m, cost = _run_stream(seed, reference=engine == "object")
         msf_ids = bytes(
             json.dumps([e[3] for e in m.msf_edges()]), "utf-8"
         )
@@ -214,3 +276,44 @@ class TestSeededDeterminism:
             # engine's phases with the same names and the same charges.
             assert runs["object"][0] == runs["array"][0]
             assert runs["object"][1] == runs["array"][1]
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, default=repr).encode()
+    ).hexdigest()
+
+
+#: seed -> (MSF edge ids, sha256 of rc.snapshot(), sha256 of the phase
+#: tree without wall time) for :func:`_stream`.  Regenerate only for a
+#: deliberate change to the contraction, its cost charges or Algorithm 2.
+GOLDEN = {
+    0: (
+        [0, 2, 3, 4, 5, 6, 7, 10, 13, 14, 17, 18, 20, 21, 26, 27, 29, 32, 34],
+        "a70b1f8c5868f47e512e2434a7183318ac73f6b45de0ece8874844cd3cb5f9c4",
+        "a3fec400fc63ef16e44b4cf44c110f4ce1d78c40b4fead9f690503243f0531b3",
+    ),
+    7: (
+        [0, 1, 2, 3, 5, 6, 7, 8, 9, 12, 13, 14, 18, 19, 22, 23, 24, 28, 30, 31],
+        "43682ffbf7f3610ab51d9074b8e3b44d462d801c80c1810afdd3f9c9216f77c9",
+        "da4ddbefa0d980ba1209a08c1a2ca42bd75b1f99c5b401f88d19f8a42d2384ad",
+    ),
+    2024: (
+        [5, 6, 7, 8, 10, 14, 15, 16, 17, 18, 22, 25, 26, 27, 28, 29, 32, 34,
+         38, 40, 41, 43],
+        "b416a0766f2b7fed9648ae5350b1d81ee3753e53f63b5acf4d18d6f57c274db5",
+        "859e380daf8a0b0ffc46a9df596a1208c8522748ba01189dc00c8a3af2193f15",
+    ),
+}
+
+
+class TestGoldenFingerprints:
+    def test_seeded_streams_match_golden(self):
+        for seed, want in GOLDEN.items():
+            m, cost = _run_stream(seed)
+            got = (
+                [e[3] for e in m.msf_edges()],
+                _sha256(m.forest.rc.snapshot()),
+                _sha256(_strip_wall(cost.phases.to_dict())),
+            )
+            assert got == want, (seed, got)

@@ -4,8 +4,7 @@ and a killed service apply loop must recover to the uninterrupted state.
 Every rejection path is followed by a full invariant check and a
 from-scratch snapshot comparison, proving the failed call was atomic.
 The service section kills the apply loop at *every* WAL offset, at every
-failpoint the commit sequence passes, on both RC-tree engines, and
-requires recovery + resume to answer queries identically to a run that
+failpoint the commit sequence passes, and requires recovery + resume to answer queries identically to a run that
 never crashed.
 """
 
@@ -171,10 +170,9 @@ def _svc_fingerprint(sw):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ["object", "array"])
 class TestServiceCrashRecovery:
-    def _uninterrupted(self, engine):
-        sw = SWConnectivityEager(SVC_N, seed=SVC_SEED, engine=engine)
+    def _uninterrupted(self):
+        sw = SWConnectivityEager(SVC_N, seed=SVC_SEED)
         for b in _svc_stream():
             sw.batch_insert(list(b.edges))
             if b.expire:
@@ -184,12 +182,12 @@ class TestServiceCrashRecovery:
     @pytest.mark.parametrize(
         "point", ["before-wal-append", "after-wal-append", "mid-apply", "after-apply"]
     )
-    def test_kill_at_every_wal_offset(self, tmp_path, engine, point):
-        expected = _svc_fingerprint(self._uninterrupted(engine))
+    def test_kill_at_every_wal_offset(self, tmp_path, point):
+        expected = _svc_fingerprint(self._uninterrupted())
         stream = _svc_stream()
 
         def factory():
-            return SWConnectivityEager(SVC_N, seed=SVC_SEED, engine=engine)
+            return SWConnectivityEager(SVC_N, seed=SVC_SEED)
 
         for crash_lsn in range(SVC_ROUNDS):
             data_dir = tmp_path / f"{point}-{crash_lsn}"
@@ -216,12 +214,12 @@ class TestServiceCrashRecovery:
             assert _svc_fingerprint(svc2.structure) == expected, (point, crash_lsn)
 
     @pytest.mark.parametrize("point", ["before-snapshot", "after-snapshot"])
-    def test_kill_during_snapshot(self, tmp_path, engine, point):
-        expected = _svc_fingerprint(self._uninterrupted(engine))
+    def test_kill_during_snapshot(self, tmp_path, point):
+        expected = _svc_fingerprint(self._uninterrupted())
         stream = _svc_stream()
 
         def factory():
-            return SWConnectivityEager(SVC_N, seed=SVC_SEED, engine=engine)
+            return SWConnectivityEager(SVC_N, seed=SVC_SEED)
 
         # With snapshot_every=2 the cadence fires at lsn 1, 3, 5.
         crash_lsn = 3

@@ -23,6 +23,7 @@ from repro.paperdata import (
 )
 from repro.trees import DynamicForest
 from repro.trees.cluster import ClusterKind
+from tests.helpers import with_reference_rc
 
 A, B, C, D, E, X, Y = range(7)
 
@@ -66,9 +67,9 @@ class TestFigure1:
 class TestFigure2:
     @pytest.fixture()
     def forest(self):
-        # These tests walk the object engine's per-node cluster graph
-        # (vleaf / comp / root_cluster), so they pin engine="object".
-        f = DynamicForest(12, seed=2, engine="object")
+        # These tests walk the reference model's per-node cluster graph
+        # (vleaf / comp / root_cluster), so they swap in ``RCForest``.
+        f = with_reference_rc(DynamicForest(12, seed=2))
         f.batch_link(fig2_links())
         return f
 

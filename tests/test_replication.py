@@ -40,8 +40,8 @@ SEED = 13
 OPS = [("i", ((0, 1),))]  # one minimal insert round for WAL-level tests
 
 
-def make_sw(engine=None):
-    return SWConnectivityEager(N, seed=SEED, engine=engine)
+def make_sw():
+    return SWConnectivityEager(N, seed=SEED)
 
 
 def fingerprint(sw):
@@ -615,19 +615,16 @@ class TestQueryService:
 
 # ----------------------------------------------------------------------
 # Kill matrix: a follower killed at every replay offset re-tails to
-# byte-identical state, on both engines (the ISSUE acceptance criterion).
+# byte-identical state.
 # ----------------------------------------------------------------------
 
 KM_ROUNDS = 6
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ["object", "array"])
 class TestFollowerKillMatrix:
-    def test_kill_at_every_replay_offset(self, tmp_path, engine):
-        def factory():
-            return make_sw(engine=engine)
-
+    def test_kill_at_every_replay_offset(self, tmp_path):
+        factory = make_sw
         svc = StreamService(
             factory(),
             data_dir=tmp_path,
@@ -650,6 +647,92 @@ class TestFollowerKillMatrix:
             f.kill()
             f.restart()
             f.catch_up()
-            assert f.replayed_lsn == KM_ROUNDS, (engine, offset)
-            assert fingerprint(f.structure) == want, (engine, offset)
+            assert f.replayed_lsn == KM_ROUNDS, offset
+            assert fingerprint(f.structure) == want, offset
         svc.close()
+
+
+# ----------------------------------------------------------------------
+# Reply LSNs name the state that was read
+# ----------------------------------------------------------------------
+
+
+def _run_after_first_call(monkeypatch, cls, name, after):
+    """Patch ``cls.name`` so its first call runs ``after()`` right after
+    the original returns -- once the lock that call held is released."""
+    orig = getattr(cls, name)
+    pending = [after]
+
+    def patched(self, *args, **kwargs):
+        out = orig(self, *args, **kwargs)
+        if pending:
+            pending.pop()()
+        return out
+
+    monkeypatch.setattr(cls, name, patched)
+
+
+class TestReplyLsn:
+    """A round committed (or replayed) between the locked read and the
+    reply must not leak into the reply's LSN: the reply would name a
+    state it did not read.  Round 0 links (0, 1); the racing round 1
+    links (2, 3), so ``connected(2, 3)`` answered at LSN 1 is False."""
+
+    def test_primary_read(self, tmp_path, monkeypatch):
+        with ReplicatedService(make_sw, tmp_path, svc_config()) as rs:
+            rs.write([(0, 1)])
+            _run_after_first_call(
+                monkeypatch, StreamService, "query", lambda: rs.write([(2, 3)])
+            )
+            res = QueryService(rs).run([("connected", 2, 3)])
+            assert res.replica == "primary"
+            assert res.answers == [False]
+            assert res.lsn == 1
+            assert rs.primary.next_lsn == 2
+
+    def test_follower_read(self, tmp_path, monkeypatch):
+        with ReplicatedService(
+            make_sw, tmp_path, svc_config(), followers=1
+        ) as rs:
+            rs.write([(0, 1)])
+            rs.poll()
+            (f,) = rs.followers
+
+            def commit_and_replay():
+                rs.write([(2, 3)])
+                f.catch_up()
+
+            _run_after_first_call(
+                monkeypatch, Follower, "try_query", commit_and_replay
+            )
+            res = QueryService(rs).run([("connected", 2, 3)])
+            assert res.replica == f"follower{f.fid}"
+            assert res.answers == [False]
+            assert res.lsn == 1
+            assert f.replayed_lsn == 2
+
+    def test_worker_reply(self, tmp_path, monkeypatch):
+        from repro.replication.worker import WorkerServer
+
+        with ReplicatedService(make_sw, tmp_path, svc_config()) as rs:
+            rs.write([(0, 1)])
+            f = Follower(7, tmp_path, make_sw)
+            f.catch_up()
+
+            def commit_and_replay():
+                rs.write([(2, 3)])
+                f.catch_up()
+
+            _run_after_first_call(
+                monkeypatch, Follower, "try_query", commit_and_replay
+            )
+            server = WorkerServer(("127.0.0.1", 0), f)
+            try:
+                reply = server.dispatch(
+                    {"op": "read", "queries": [["connected", 2, 3]]}
+                )
+            finally:
+                server.server_close()
+            assert reply["ok"] and reply["answers"] == [False]
+            assert reply["lsn"] == 1
+            assert f.replayed_lsn == 2

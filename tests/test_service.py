@@ -3,7 +3,7 @@ backpressure, shedding, and the threaded apply loop.
 
 Crash/recovery correctness is covered separately by
 ``tests/test_failure_injection.py`` (kill at every WAL offset) and
-``tests/test_service_recovery.py`` (Hypothesis property, both engines).
+``tests/test_service_recovery.py`` (Hypothesis property).
 """
 
 from __future__ import annotations

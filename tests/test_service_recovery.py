@@ -6,7 +6,7 @@ offset and failpoint, recovers with :meth:`StreamService.open`, finishes
 the run, and then requires the recovered structure to be *byte-identical*
 to a twin that never went through a service at all: same RC-tree
 contraction snapshot, same MSF edge set, same answer to every
-connectivity query.  Both RC-tree engines are exercised.
+connectivity query.
 
 The replicated twin (``test_replicated_followers_converge``) runs the
 same property against :class:`~repro.replication.ReplicatedService`: a
@@ -61,7 +61,6 @@ def fingerprint(sw):
     )
 
 
-@pytest.mark.parametrize("engine", ["object", "array"])
 @settings(max_examples=30, deadline=None)
 @given(
     rounds=rounds_,
@@ -70,15 +69,15 @@ def fingerprint(sw):
     snapshot_every=st.sampled_from([0, 1, 2]),
 )
 def test_crash_recover_matches_uninterrupted(
-    tmp_path_factory, engine, rounds, crash_frac, point, snapshot_every
+    tmp_path_factory, rounds, crash_frac, point, snapshot_every
 ):
     tmp_path = tmp_path_factory.mktemp("svc")
     cfg = ServiceConfig(flush_edges=10**9, snapshot_every=snapshot_every)
 
     def factory():
-        return SWConnectivityEager(N, seed=SEED, engine=engine)
+        return SWConnectivityEager(N, seed=SEED)
 
-    twin = SWConnectivityEager(N, seed=SEED, engine=engine)
+    twin = SWConnectivityEager(N, seed=SEED)
     for edges, expire in rounds:
         if edges:
             twin.batch_insert(edges)
@@ -123,7 +122,6 @@ action_ = st.sampled_from(
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ["object", "array"])
 @settings(max_examples=20, deadline=None)
 @given(
     rounds=rounds_,
@@ -131,15 +129,15 @@ action_ = st.sampled_from(
     snapshot_every=st.sampled_from([0, 1, 2]),
 )
 def test_replicated_followers_converge(
-    tmp_path_factory, engine, rounds, schedule, snapshot_every
+    tmp_path_factory, rounds, schedule, snapshot_every
 ):
     tmp_path = tmp_path_factory.mktemp("repl")
     cfg = ServiceConfig(flush_edges=10**9, snapshot_every=snapshot_every)
 
     def factory():
-        return SWConnectivityEager(N, seed=SEED, engine=engine)
+        return SWConnectivityEager(N, seed=SEED)
 
-    twin = SWConnectivityEager(N, seed=SEED, engine=engine)
+    twin = SWConnectivityEager(N, seed=SEED)
     for edges, expire in rounds:
         if edges:
             twin.batch_insert(edges)

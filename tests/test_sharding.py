@@ -5,8 +5,8 @@ answered by :class:`~repro.sharding.sharded.ShardedService` -- composed
 from K shard-local structures through the contracted boundary graph --
 must serialize to exactly the bytes the unsharded
 :class:`~repro.service.query.QueryService` produces for the same stream
-under the same token, on both engines, both partitioning schemes, both
-window structures, and across a mid-stream shard failover.  The unit
+under the same token, on both partitioning schemes, both window
+structures, and across a mid-stream shard failover.  The unit
 tests around it pin the pieces that make the composition sound: stable
 edge ownership, exact ``partition_skew`` conditioning in the loadgen
 sampler, global-tau replay in the member adapter, and version-cached
@@ -283,7 +283,7 @@ def _mixed_batch(sampler, rng, eager):
 
 
 def _drive_differential(
-    tmp_path, *, eager, scheme, k, engine, rounds=30, promote_at=None
+    tmp_path, *, eager, scheme, k, rounds=30, promote_at=None
 ):
     """One seeded stream through both tiers, comparing canonical bytes.
 
@@ -293,13 +293,13 @@ def _drive_differential(
     cls = SWConnectivityEager if eager else SWConnectivity
     router = ShardRouter(N, k, scheme=scheme)
     oracle = ReplicatedService(
-        lambda: cls(N, seed=SEED, engine=engine),
+        lambda: cls(N, seed=SEED),
         tmp_path / "oracle",
         svc_config(),
     )
     oq = QueryService(oracle)
     svc = ShardedService(
-        make_member_factory(N, seed=SEED, engine=engine, eager=eager),
+        make_member_factory(N, seed=SEED, eager=eager),
         tmp_path / "sharded",
         router,
         svc_config(),
@@ -331,23 +331,19 @@ def _drive_differential(
 
 
 @pytest.mark.parametrize(
-    ("eager", "scheme", "k", "engine"),
+    ("eager", "scheme", "k"),
     [
-        (True, "hash", 2, None),
-        (True, "range", 4, "array"),
-        (False, "range", 3, None),
-        (False, "hash", 2, "object"),
-        (True, "hash", 1, None),  # K=1 facade == the unsharded tier
+        (True, "hash", 2),
+        (True, "range", 4),
+        (False, "range", 3),
+        (False, "hash", 2),
+        (True, "hash", 1),  # K=1 facade == the unsharded tier
     ],
     ids=["eager-hash-k2", "eager-range-k4", "lazy-range-k3",
-         "lazy-hash-k2-object", "eager-k1"],
+         "lazy-hash-k2", "eager-k1"],
 )
-def test_sharded_answers_match_the_unsharded_oracle(
-    tmp_path, eager, scheme, k, engine
-):
-    _drive_differential(
-        tmp_path, eager=eager, scheme=scheme, k=k, engine=engine
-    )
+def test_sharded_answers_match_the_unsharded_oracle(tmp_path, eager, scheme, k):
+    _drive_differential(tmp_path, eager=eager, scheme=scheme, k=k)
 
 
 def test_failover_mid_stream_keeps_the_differential(tmp_path):
@@ -358,7 +354,6 @@ def test_failover_mid_stream_keeps_the_differential(tmp_path):
         eager=True,
         scheme="hash",
         k=3,
-        engine=None,
         promote_at=(12, 1),
     )
 

@@ -22,6 +22,7 @@ from repro.msf.graph import EdgeArray
 from repro.msf.kruskal import kruskal_msf
 from repro.sliding_window import SWConnectivityEager
 from repro.trees import DynamicForest
+from tests.helpers import with_reference_rc
 
 N = 12
 
@@ -159,11 +160,12 @@ class SlidingWindowMachine(RuleBasedStateMachine):
 
 
 class CrossEngineMSFMachine(RuleBasedStateMachine):
-    """Both RC-tree engines driven through identical random MSF streams.
+    """The serving RC-tree engine and its reference model driven through
+    identical random MSF streams.
 
     Every rule applies the same command (``batch_insert`` /
-    ``forget_edges`` / queries) to an object-engine and an array-engine
-    :class:`BatchIncrementalMSF`; invariants demand the two agree with
+    ``forget_edges`` / queries) to a :class:`BatchIncrementalMSF` on the
+    ``RCForest`` reference model and to one on ``RCArrayForest``; invariants demand the two agree with
     each other, charge identical simulated work/span, and match a Kruskal
     oracle.  The oracle is applied *incrementally* -- ``kruskal_msf`` over
     (surviving forest + new batch) per insert, edge removal per forget --
@@ -178,8 +180,9 @@ class CrossEngineMSFMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.obj = BatchIncrementalMSF(N, seed=41, engine="object")
-        self.arr = BatchIncrementalMSF(N, seed=41, engine="array")
+        self.obj = BatchIncrementalMSF(N, seed=41)
+        with_reference_rc(self.obj.forest)
+        self.arr = BatchIncrementalMSF(N, seed=41)
         self.oracle: list[tuple[int, int, float, int]] = []
         self.next_eid = 0
 

@@ -5,8 +5,7 @@ The claims, each pinned here:
 - **Round trip**: a workload recorded from a live replicated pipeline
   (writes with expirations, grouped batch reads with consistency
   tokens) replays into byte-identical final MSF state *and* identical
-  ``(work, span)`` cost charges -- on both RC-tree engines, and across
-  replay speeds (virtual time is data, not a scheduler).
+  ``(work, span)`` cost charges -- across replay speeds (virtual time is data, not a scheduler).
 - **Chaos composition, both directions**: a trace recorded *under* a
   chaos tape (primary kills, follower churn) replays clean against the
   fault-free oracle -- crashed rounds were never durable, retried
@@ -50,8 +49,8 @@ N = 16
 SEED = 11
 
 
-def factory(engine=None):
-    return SWConnectivityEager(N, seed=SEED, engine=engine)
+def factory():
+    return SWConnectivityEager(N, seed=SEED)
 
 
 def trace_meta():
@@ -148,23 +147,15 @@ class TestRoundTripProperties:
         oracle, _ = trace_oracle(factory_from_meta(meta), events)
         assert state_fingerprint(oracle) == fp
 
-        fps = {}
-        for engine in ("array", "object"):
-            result = TraceReplayer(
-                (meta, events),
-                factory=factory_from_meta(meta, engine=engine),
-                config=ReplayConfig(engine=engine),
-                data_dir=tmp_path / f"rp-{engine}-{trace_path.stem}",
-            )
-            res = result.run()
-            assert res.deterministic is True, engine
-            fps[engine] = res.fingerprint
-        assert fps["array"] == fp
-        assert fps["object"] == fp  # rc.snapshot() is engine-independent
+        res = TraceReplayer(
+            (meta, events), data_dir=tmp_path / f"rp-{trace_path.stem}"
+        ).run()
+        assert res.deterministic is True
+        assert res.fingerprint == fp
 
 
 # ----------------------------------------------------------------------
-# Deterministic replay: engines, speeds, charges
+# Deterministic replay: speeds, charges
 # ----------------------------------------------------------------------
 
 
