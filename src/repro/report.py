@@ -270,26 +270,12 @@ def render_trace_diff(path_a: pathlib.Path, path_b: pathlib.Path) -> int:
 
 def _wal_summary_of(data_dir: pathlib.Path) -> dict:
     """One data directory's WAL summary dict; raises on damage."""
-    from repro.service.service import WAL_DIRNAME, WAL_FILENAME
+    from repro.service.service import WAL_DIRNAME
     from repro.service.wal import wal_summary
 
     wal_dir = data_dir / WAL_DIRNAME
     if not wal_dir.is_dir():
-        if not (data_dir / WAL_FILENAME).exists():
-            raise FileNotFoundError("no WAL")
-        # A legacy single-file layout: summarise it as one segment
-        # without migrating (read-only inspection must not mutate).
-        from repro.service.wal import read_wal
-
-        records, good = read_wal(data_dir / WAL_FILENAME)
-        return {
-            "segments": 1,
-            "base_lsn": records[0].lsn if records else 0,
-            "next_lsn": (records[-1].lsn + 1) if records else 0,
-            "rounds": len(records),
-            "bytes": good,
-            "epoch": records[-1].epoch if records else 0,
-        }
+        raise FileNotFoundError("no WAL")
     return wal_summary(wal_dir)
 
 

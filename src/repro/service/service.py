@@ -39,7 +39,6 @@ dead process).  Points, in commit order: ``before-wal-append``,
 
 from __future__ import annotations
 
-import os
 import pathlib
 import threading
 import time
@@ -61,28 +60,14 @@ from repro.service.wal import (
     read_wal_dir,
 )
 
-#: Pre-replication single-file WAL name; migrated into ``wal/`` on open.
-WAL_FILENAME = "wal.jsonl"
 WAL_DIRNAME = "wal"
 SNAPSHOT_DIRNAME = "snapshots"
 
 
 def wal_directory(data_dir: str | pathlib.Path) -> pathlib.Path:
-    """The segmented-WAL directory of a service ``data_dir``, migrating a
-    legacy single-file ``wal.jsonl`` into it (as segment 0) if present."""
-    data_dir = pathlib.Path(data_dir)
-    wal_dir = data_dir / WAL_DIRNAME
-    legacy = data_dir / WAL_FILENAME
-    if legacy.exists():
-        wal_dir.mkdir(parents=True, exist_ok=True)
-        target = wal_dir / "wal-000000000000-000000.jsonl"
-        if target.exists():
-            raise ValueError(
-                f"{data_dir} holds both a legacy {WAL_FILENAME} and a "
-                f"migrated segment; remove one"
-            )
-        os.replace(legacy, target)
-    return wal_dir
+    """The segmented-WAL directory of a service ``data_dir``."""
+    return pathlib.Path(data_dir) / WAL_DIRNAME
+
 
 #: Failpoint names, in the order the apply loop passes them per round.
 FAILPOINTS = (

@@ -41,7 +41,8 @@ suffix, and a tailing :class:`WalCursor` that has been fenced rejects
 stale-epoch records outright.  Two different writers appending the same
 LSN under the *same* epoch is real corruption, never repaired.
 
-Crash semantics follow the standard WAL contract:
+Crash semantics follow the standard WAL contract (the line framing
+behind it is :mod:`repro.service.framing`, shared with trace files):
 
 - a record is *durable* once its line -- including the trailing newline --
   is fully on disk (``fsync=True`` additionally forces it through the OS
@@ -54,8 +55,8 @@ Crash semantics follow the standard WAL contract:
   record anywhere *before* the tail (i.e. one whose newline is on disk)
   is real corruption and raises :class:`WalCorruption`.
 - a *failed append* (transient I/O error, torn write, failed fsync) is
-  repaired immediately: :meth:`WriteAheadLog.append` truncates the file
-  back to the last durable record before re-raising, so a caller-level
+  repaired immediately: the file is truncated back to the last durable
+  record before the error re-raises, so a caller-level
   retry (:class:`repro.service.resilience.RetryPolicy`) re-appends the
   same LSN onto a clean tail instead of concatenating garbage.
 
@@ -74,11 +75,10 @@ import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.service.framing import FramedAppender, complete_lines
 from repro.service.storage import REAL_IO, StorageIO
 
 WAL_SCHEMA = "repro.service/wal/v2"
-#: The pre-replication schema (no epochs, single file); still readable.
-WAL_SCHEMA_V1 = "repro.service/wal/v1"
 
 OP_INSERT = "i"
 OP_EXPIRE = "e"
@@ -124,88 +124,77 @@ class SegmentInfo:
             return 0
 
 
-def fsync_dir(directory: str | pathlib.Path) -> None:
-    """fsync a directory so entries created/renamed in it are durable.
-
-    Module-level convenience over :meth:`StorageIO.fsync_dir` for callers
-    outside the seam (see that method for why directories need fsyncs).
-    """
-    REAL_IO.fsync_dir(directory)
-
-
-def _canonical(lsn: int, ops: Sequence[Op], epoch: int | None) -> str:
-    body = [lsn, [list(op) for op in _jsonable(ops)]]
-    if epoch is not None:
-        body = [lsn, epoch, [list(op) for op in _jsonable(ops)]]
-    return json.dumps(body, separators=(",", ":"))
-
-
-def _jsonable(ops: Sequence[Op]) -> list[list]:
-    out = []
+def ops_to_json(ops: Sequence[Op]) -> list[list]:
+    """Ops as the JSON lists the WAL and traces store."""
+    out: list[list] = []
     for kind, payload in ops:
         if kind == OP_INSERT:
             out.append([kind, [list(e) for e in payload]])
         elif kind == OP_EXPIRE:
             out.append([kind, int(payload)])
         else:
-            raise ValueError(f"unknown WAL op kind {kind!r}")
+            raise ValueError(f"unknown op kind {kind!r}")
     return out
 
 
-def encode_record(lsn: int, ops: Sequence[Op], epoch: int = 0) -> str:
-    """One WAL line (no trailing newline) for ``ops`` at ``lsn``."""
-    body = _canonical(lsn, ops, epoch)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return json.dumps(
-        {"lsn": lsn, "epoch": epoch, "ops": _jsonable(ops), "crc": crc},
-        separators=(",", ":"),
-    )
-
-
-def decode_record(line: str) -> WalRecord | None:
-    """Parse one WAL line; ``None`` when the line is torn or corrupt.
-
-    Accepts both v2 records (with an ``epoch`` field) and v1 records
-    (without; their epoch decodes as 0 and the CRC covers ``[lsn, ops]``).
-    """
-    try:
-        doc = json.loads(line)
-        lsn = doc["lsn"]
-        ops_json = doc["ops"]
-        crc = doc["crc"]
-        epoch = doc.get("epoch")
-    except (ValueError, KeyError, TypeError):
-        return None
+def ops_from_json(ops_json: Sequence) -> tuple[Op, ...]:
+    """The inverse of :func:`ops_to_json` (tuples, ready for apply_ops)."""
     ops: list[Op] = []
     for entry in ops_json:
-        if not isinstance(entry, list) or len(entry) != 2:
-            return None
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"malformed op {entry!r}")
         kind, payload = entry
         if kind == OP_INSERT:
             ops.append((OP_INSERT, tuple(tuple(e) for e in payload)))
         elif kind == OP_EXPIRE:
             ops.append((OP_EXPIRE, int(payload)))
         else:
-            return None
-    if zlib.crc32(_canonical(lsn, ops, epoch).encode("utf-8")) != crc:
+            raise ValueError(f"unknown op kind {kind!r}")
+    return tuple(ops)
+
+
+def _crc(lsn: int, epoch: int, ops_json: list[list]) -> int:
+    body = json.dumps([lsn, epoch, ops_json], separators=(",", ":"))
+    return zlib.crc32(body.encode("utf-8"))
+
+
+def encode_record(lsn: int, ops: Sequence[Op], epoch: int = 0) -> str:
+    """One WAL line (no trailing newline) for ``ops`` at ``lsn``."""
+    ops_json = ops_to_json(ops)
+    return json.dumps(
+        {
+            "lsn": lsn,
+            "epoch": epoch,
+            "ops": ops_json,
+            "crc": _crc(lsn, epoch, ops_json),
+        },
+        separators=(",", ":"),
+    )
+
+
+def decode_record(line: str) -> WalRecord | None:
+    """Parse one WAL line; ``None`` when the line is torn or corrupt."""
+    try:
+        doc = json.loads(line)
+        lsn, epoch, crc = doc["lsn"], doc["epoch"], doc["crc"]
+        ops = ops_from_json(doc["ops"])
+    except (ValueError, KeyError, TypeError):
         return None
-    return WalRecord(lsn=int(lsn), ops=tuple(ops), epoch=int(epoch or 0))
+    if _crc(lsn, epoch, ops_to_json(ops)) != crc:
+        return None
+    return WalRecord(lsn=int(lsn), ops=ops, epoch=int(epoch))
 
 
-def _parse_header(line: bytes) -> int | None:
+def _parse_header(line: str) -> int | None:
     """The segment's start LSN, or ``None`` when the header is invalid."""
     try:
         header = json.loads(line)
     except ValueError:
         return None
-    if not isinstance(header, dict):
+    if not isinstance(header, dict) or header.get("wal") != WAL_SCHEMA:
         return None
-    if header.get("wal") == WAL_SCHEMA_V1:
-        return 0
-    if header.get("wal") == WAL_SCHEMA:
-        start = header.get("start", 0)
-        return int(start) if isinstance(start, int) and start >= 0 else None
-    return None
+    start = header.get("start", 0)
+    return start if isinstance(start, int) and start >= 0 else None
 
 
 def read_wal(
@@ -221,31 +210,18 @@ def read_wal(
     edited, not torn).
     """
     path = pathlib.Path(path)
-    if not path.exists():
-        return [], 0
-    raw = (io or REAL_IO).read_bytes(path)
+    raw = (io or REAL_IO).read_bytes(path) if path.exists() else b""
     records: list[WalRecord] = []
     good = 0
     start: int | None = None
-    for line in raw.split(b"\n"):
-        end = good + len(line) + 1  # +1 for the newline
-        if not line:
-            good = min(end, len(raw))
-            continue
-        if end > len(raw):
-            # The final line is missing its trailing newline, so the append
-            # that wrote it never finished -- even bytes that happen to
-            # decode cleanly are a torn tail, never durable.  (Counting
-            # them would let the reopened log append onto the same line,
-            # corrupting the next record.)
-            break
+    for line, end in complete_lines(raw):
         if start is None:
             start = _parse_header(line)
             if start is None:
                 raise WalCorruption(f"{path}: missing or bad WAL header")
             good = end
             continue
-        rec = decode_record(line.decode("utf-8", errors="replace"))
+        rec = decode_record(line)
         if rec is None:
             raise WalCorruption(
                 f"{path}: corrupt record after {len(records)} good records"
@@ -261,7 +237,7 @@ def read_wal(
             )
         records.append(rec)
         good = end
-    return records, min(good, len(raw))
+    return records, good
 
 
 def list_segments(directory: str | pathlib.Path) -> list[SegmentInfo]:
@@ -354,14 +330,12 @@ class WriteAheadLog:
 
     Opening an existing log scans it, repairs a torn tail (truncating to
     the durable prefix), and resumes the LSN sequence; opening a fresh
-    path writes the schema header.  ``append`` is not thread-safe by
-    itself -- :class:`~repro.service.service.StreamService` serializes all
-    appends behind its single-writer lock.
-
-    The appender tracks the byte offset of its durable prefix; when an
-    append fails partway (transient error, torn write, failed fsync) it
-    truncates back to that offset before re-raising, so the failed
-    record vanishes entirely and a retry starts from a clean tail.
+    path writes the schema header.  A failed append truncates back to the
+    durable prefix before re-raising (see
+    :class:`~repro.service.framing.FramedAppender`), so the failed record
+    vanishes and a retry starts from a clean tail.  ``append`` is not
+    thread-safe by itself -- :class:`~repro.service.service.StreamService`
+    serializes all appends behind its single-writer lock.
     """
 
     def __init__(
@@ -372,37 +346,13 @@ class WriteAheadLog:
         io: StorageIO | None = None,
     ) -> None:
         self.path = pathlib.Path(path)
-        self.fsync = fsync
         self._io = io or REAL_IO
         records, good = read_wal(self.path, self._io)
-        if self.path.exists() and good < self.path.stat().st_size:
-            with self.path.open("r+b") as f:
-                self._io.truncate(f, good)
-                if fsync:
-                    self._io.fsync(f)
         self.start = records[0].lsn if records else start
         self._next_lsn = self.start + len(records)
         self._last_epoch = records[-1].epoch if records else 0
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._f = self.path.open("ab")
-        self._good = 0 if fresh else good
-        if fresh:
-            header = (
-                json.dumps({"wal": WAL_SCHEMA, "start": self.start}) + "\n"
-            ).encode("utf-8")
-            try:
-                self._io.append(self._f, header)
-                if fsync:
-                    self._io.fsync(self._f)
-                    self._io.fsync_dir(self.path.parent)
-            except Exception:
-                # A torn header is self-repairing: the next open finds no
-                # newline-terminated header line, truncates to zero, and
-                # rewrites it.  Just do not leak the handle.
-                self._f.close()
-                raise
-            self._good = len(header)
+        header = json.dumps({"wal": WAL_SCHEMA, "start": self.start})
+        self._log = FramedAppender(self.path, good, header, fsync, self._io)
 
     @property
     def next_lsn(self) -> int:
@@ -417,50 +367,31 @@ class WriteAheadLog:
     @property
     def bytes_written(self) -> int:
         """Durable size of the log file in bytes."""
-        return self._good if not self._f.closed else self.path.stat().st_size
+        return self._log.bytes_written
 
     def append(self, ops: Sequence[Op], epoch: int = 0) -> int:
         """Append one round; returns its LSN once the line is durable.
 
-        On *any* failure -- transient write error, torn write, failed
-        fsync -- the file is truncated back to the durable prefix before
-        the exception propagates: the half-written record is gone, the
-        LSN is not consumed, and a retry re-appends cleanly.  (After a
-        successful write but failed fsync the record's durability is
-        unknown; discarding it is the only answer that keeps the
-        "append returned means durable" contract.)
+        On any failure the half-written record is gone and the LSN is not
+        consumed, so a retry re-appends cleanly.
         """
-        if self._f.closed:
-            raise ValueError("write-ahead log is closed")
         if epoch < self._last_epoch:
             raise ValueError(
                 f"epoch must be monotone: {self._last_epoch} -> {epoch}"
             )
         lsn = self._next_lsn
-        line = (encode_record(lsn, ops, epoch=epoch) + "\n").encode("utf-8")
-        try:
-            self._io.append(self._f, line)
-            if self.fsync:
-                self._io.fsync(self._f)
-        except Exception:
-            self._io.truncate(self._f, self._good)
-            raise
-        self._good += len(line)
+        self._log.append(encode_record(lsn, ops, epoch=epoch))
         self._next_lsn += 1
         self._last_epoch = epoch
         return lsn
 
     def records(self) -> list[WalRecord]:
         """Re-read every durable record from disk (used by recovery)."""
-        self._f.flush()
-        records, _ = read_wal(self.path, self._io)
-        return records
+        return read_wal(self.path, self._io)[0]
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""
-        if not self._f.closed:
-            self._f.flush()
-            self._f.close()
+        self._log.close()
 
     def __enter__(self) -> "WriteAheadLog":
         return self
@@ -545,8 +476,6 @@ class SegmentedWal:
     @property
     def bytes_written(self) -> int:
         """Total bytes across all live segments."""
-        if not self._writer._f.closed:
-            self._writer._f.flush()
         return sum(s.size for s in self.segments())
 
     def segments(self) -> list[SegmentInfo]:
@@ -688,8 +617,6 @@ class SegmentedWal:
 
     def records(self, start_lsn: int | None = None) -> list[WalRecord]:
         """Winning records from ``start_lsn`` (default: everything retained)."""
-        if not self._writer._f.closed:
-            self._writer._f.flush()
         if start_lsn is None:
             return read_wal_dir(self.directory, self._io)[0]
         return read_records_from(self.directory, start_lsn, self._io)
@@ -744,11 +671,7 @@ class WalCursor:
         candidates = [
             s for s in list_segments(self.directory) if s.start <= self.next_lsn
         ]
-        if not candidates:
-            if any(list_segments(self.directory)):
-                return None
-            return None
-        return max(candidates, key=lambda s: (s.epoch, s.start))
+        return max(candidates, key=lambda s: (s.epoch, s.start), default=None)
 
     def _stale(self, rec: WalRecord) -> bool:
         fence_lsn, fence_epoch = self._fence
@@ -777,8 +700,6 @@ class WalCursor:
                 self._offset = 0
             try:
                 got = self._poll_segment(max_records, out)
-            except WalTruncated:
-                raise
             except OSError:
                 # A transient read fault mid-poll.  If earlier iterations
                 # already shipped records, the cursor has advanced past
@@ -812,13 +733,7 @@ class WalCursor:
         # RetryPolicy) simply polls again.
         progressed = False
         consumed = 0
-        for line in raw.split(b"\n"):
-            end = consumed + len(line) + 1
-            if end > len(raw):
-                break  # incomplete tail: wait for the newline
-            if not line:
-                consumed = end
-                continue
+        for line, end in complete_lines(raw):
             if self._offset == 0 and consumed == 0:
                 if _parse_header(line) is None:
                     raise WalCorruption(
@@ -826,7 +741,7 @@ class WalCursor:
                     )
                 consumed = end
                 continue
-            rec = decode_record(line.decode("utf-8", errors="replace"))
+            rec = decode_record(line)
             if rec is None:
                 break  # torn bytes that happen to end in newline: stop here
             if rec.lsn < self.next_lsn:

@@ -10,21 +10,13 @@ replayable regression gates (ROADMAP item 4):
   attach to a running pipeline;
 - :mod:`repro.trace.replay` -- the deterministic replayer driving any
   service configuration through a recorded workload at 1x/Nx speed
-  under seeded virtual time, with byte-identity oracles;
-- :mod:`repro.trace.control` -- the adaptive-ops loop (flush deadline
-  and replication budget tuned from observed p99s) whose decisions are
-  themselves trace events.
+  under seeded virtual time, with byte-identity oracles.
 
 ``scripts/gate.py`` builds the CI regression gates on top; the format
 and contracts are documented in ``docs/tracing.md``.
 """
 
-from repro.trace.control import (
-    AdaptiveController,
-    ControlConfig,
-    Decision,
-    ScriptedController,
-)
+from repro.service.wal import ops_from_json, ops_to_json
 from repro.trace.record import (
     TRACE_SCHEMA,
     TraceCorruption,
@@ -32,8 +24,6 @@ from repro.trace.record import (
     TraceWriter,
     decode_event,
     encode_event,
-    ops_from_json,
-    ops_to_json,
     read_trace,
     trace_summary,
 )
@@ -51,12 +41,8 @@ from repro.trace.replay import (
 
 __all__ = [
     "TRACE_SCHEMA",
-    "AdaptiveController",
-    "ControlConfig",
-    "Decision",
     "ReplayConfig",
     "ReplayResult",
-    "ScriptedController",
     "TraceCorruption",
     "TraceEvent",
     "TraceRecorder",

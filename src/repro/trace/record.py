@@ -2,15 +2,14 @@
 
 A *trace* is the workload twin of the WAL: where the WAL records what the
 service **committed**, a trace records what clients **asked for** -- write
-rounds with their arrival timestamps, read batches with their consistency
-levels, and (for tuning runs) the adaptive controller's knob decisions --
-so a benchmark or soak can be replayed, at any speed, against any
-:class:`~repro.service.service.ServiceConfig`, instead of re-rolling a
+rounds with their arrival timestamps and read batches with their
+consistency levels -- so a benchmark or soak can be replayed, at any
+speed, against any :class:`~repro.service.service.ServiceConfig`, instead of re-rolling a
 synthetic generator and hoping it exercises the same code paths.
 
-The on-disk format follows the WAL's crash contract exactly (one JSON
-record per line, a schema header, CRC32 over the canonical body, torn
-tail repaired on open):
+The on-disk format is a framed log like the WAL (one JSON record per
+line after a schema header, CRC32 over the canonical body, torn tail
+repaired on open -- see :mod:`repro.service.framing`):
 
     {"trace": "repro.trace/v1", "meta": {...}}
     {"seq": 0, "t_us": 0, "kind": "write", "body": {...}, "crc": ...}
@@ -22,11 +21,7 @@ Event kinds:
   list (``["i", edges]`` / ``["e", delta]``) and ``body["lsn"]`` the LSN
   it committed as on the recording service;
 - ``read``: one answered query batch -- ``body["queries"]`` plus the
-  requested consistency (``at_least`` token / ``max_staleness`` bound);
-- ``control``: one adaptive-ops decision -- ``body["knob"]``,
-  ``body["value"]``, the triggering observation, and a human reason, so
-  a tuning run is reproducible from its own trace
-  (:class:`repro.trace.control.ScriptedController` replays them).
+  requested consistency (``at_least`` token / ``max_staleness`` bound).
 
 Timestamps are integer **microseconds since the trace started**
 (``t_us``), monotone non-decreasing; the replayer divides them by the
@@ -35,7 +30,8 @@ through the :class:`~repro.service.storage.StorageIO` seam, so the trace
 writer is testable under :class:`~repro.chaos.faults.FaultyIO` like every
 other durable component.
 
-Crash semantics (mirroring ``repro.service.wal``):
+Crash semantics (the WAL's, from the same :mod:`repro.service.framing`
+code):
 
 - an event is durable once its line, trailing newline included, is on
   disk;
@@ -52,15 +48,15 @@ import json
 import pathlib
 import zlib
 from dataclasses import dataclass, field
-from typing import Sequence
 
+from repro.service.framing import FramedAppender, complete_lines
 from repro.service.storage import REAL_IO, StorageIO
-from repro.service.wal import OP_EXPIRE, OP_INSERT, Op
+from repro.service.wal import OP_INSERT, ops_from_json
 
 TRACE_SCHEMA = "repro.trace/v1"
 
 #: Event kinds a v1 trace may contain.
-EVENT_KINDS = ("write", "read", "control")
+EVENT_KINDS = ("write", "read")
 
 
 class TraceCorruption(RuntimeError):
@@ -75,35 +71,6 @@ class TraceEvent:
     t_us: int
     kind: str
     body: dict = field(default_factory=dict)
-
-
-def ops_to_json(ops: Sequence[Op]) -> list[list]:
-    """WAL ops as the JSON shape traces and the WAL share."""
-    out: list[list] = []
-    for kind, payload in ops:
-        if kind == OP_INSERT:
-            out.append([kind, [list(e) for e in payload]])
-        elif kind == OP_EXPIRE:
-            out.append([kind, int(payload)])
-        else:
-            raise ValueError(f"unknown op kind {kind!r}")
-    return out
-
-
-def ops_from_json(ops_json: Sequence) -> tuple[Op, ...]:
-    """The inverse of :func:`ops_to_json` (tuples, ready for apply_ops)."""
-    ops: list[Op] = []
-    for entry in ops_json:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"malformed trace op {entry!r}")
-        kind, payload = entry
-        if kind == OP_INSERT:
-            ops.append((OP_INSERT, tuple(tuple(e) for e in payload)))
-        elif kind == OP_EXPIRE:
-            ops.append((OP_EXPIRE, int(payload)))
-        else:
-            raise ValueError(f"unknown op kind {kind!r}")
-    return tuple(ops)
 
 
 def _canonical(seq: int, t_us: int, kind: str, body: dict) -> str:
@@ -150,7 +117,7 @@ def decode_event(line: str) -> TraceEvent | None:
     return TraceEvent(seq=int(seq), t_us=int(t_us), kind=kind, body=body)
 
 
-def _parse_header(line: bytes) -> dict | None:
+def _parse_header(line: str) -> dict | None:
     """The trace meta dict, or ``None`` when the header is invalid."""
     try:
         header = json.loads(line)
@@ -180,26 +147,18 @@ def _scan(
     path: pathlib.Path, io: StorageIO
 ) -> tuple[dict, list[TraceEvent], int]:
     """``(meta, events, good_bytes)`` of the durable prefix at ``path``."""
-    if not path.exists():
-        return {}, [], 0
-    raw = io.read_bytes(path)
+    raw = io.read_bytes(path) if path.exists() else b""
     events: list[TraceEvent] = []
     meta: dict | None = None
     good = 0
-    for line in raw.split(b"\n"):
-        end = good + len(line) + 1
-        if not line:
-            good = min(end, len(raw))
-            continue
-        if end > len(raw):
-            break  # torn tail: the append that wrote it never finished
+    for line, end in complete_lines(raw):
         if meta is None:
             meta = _parse_header(line)
             if meta is None:
                 raise TraceCorruption(f"{path}: missing or bad trace header")
             good = end
             continue
-        ev = decode_event(line.decode("utf-8", errors="replace"))
+        ev = decode_event(line)
         if ev is None:
             raise TraceCorruption(
                 f"{path}: corrupt record after {len(events)} good events"
@@ -215,7 +174,7 @@ def _scan(
             )
         events.append(ev)
         good = end
-    return meta or {}, events, min(good, len(raw))
+    return meta or {}, events, good
 
 
 class TraceWriter:
@@ -240,41 +199,17 @@ class TraceWriter:
         io: StorageIO | None = None,
     ) -> None:
         self.path = pathlib.Path(path)
-        self.fsync = fsync
-        self._io = io or REAL_IO
-        found_meta, events, good = _scan(self.path, self._io)
-        if self.path.exists() and good < self.path.stat().st_size:
-            with self.path.open("r+b") as f:
-                self._io.truncate(f, good)
-                if fsync:
-                    self._io.fsync(f)
+        io = io or REAL_IO
+        found_meta, events, good = _scan(self.path, io)
         self.meta = found_meta if events or good else dict(meta or {})
         self._next_seq = len(events)
         self._last_t_us = events[-1].t_us if events else 0
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._f = self.path.open("ab")
-        self._good = 0 if fresh else good
-        if fresh:
-            header = (
-                json.dumps(
-                    {"trace": TRACE_SCHEMA, "meta": self.meta},
-                    separators=(",", ":"),
-                    sort_keys=True,
-                )
-                + "\n"
-            ).encode("utf-8")
-            try:
-                self._io.append(self._f, header)
-                if fsync:
-                    self._io.fsync(self._f)
-                    self._io.fsync_dir(self.path.parent)
-            except Exception:
-                # A torn header self-repairs on the next open (no newline-
-                # terminated header -> truncate to zero, rewrite).
-                self._f.close()
-                raise
-            self._good = len(header)
+        header = json.dumps(
+            {"trace": TRACE_SCHEMA, "meta": self.meta},
+            separators=(",", ":"),
+            sort_keys=True,
+        )
+        self._log = FramedAppender(self.path, good, header, fsync, io)
 
     @property
     def next_seq(self) -> int:
@@ -284,7 +219,7 @@ class TraceWriter:
     @property
     def bytes_written(self) -> int:
         """Durable size of the trace file in bytes."""
-        return self._good if not self._f.closed else self.path.stat().st_size
+        return self._log.bytes_written
 
     def append(self, t_us: int, kind: str, body: dict) -> TraceEvent:
         """Append one event; returns it once the line is durable.
@@ -293,32 +228,20 @@ class TraceWriter:
         on any write failure the file is repaired back to the durable
         prefix before the exception propagates.
         """
-        if self._f.closed:
-            raise ValueError("trace writer is closed")
         ev = TraceEvent(
             seq=self._next_seq,
             t_us=max(int(t_us), self._last_t_us),
             kind=kind,
             body=body,
         )
-        line = (encode_event(ev) + "\n").encode("utf-8")
-        try:
-            self._io.append(self._f, line)
-            if self.fsync:
-                self._io.fsync(self._f)
-        except Exception:
-            self._io.truncate(self._f, self._good)
-            raise
-        self._good += len(line)
+        self._log.append(encode_event(ev))
         self._next_seq += 1
         self._last_t_us = ev.t_us
         return ev
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""
-        if not self._f.closed:
-            self._f.flush()
-            self._f.close()
+        self._log.close()
 
     def __enter__(self) -> "TraceWriter":
         return self

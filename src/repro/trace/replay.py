@@ -31,12 +31,6 @@ The determinism contract, and who checks it:
 :func:`state_fingerprint` is the comparison key: logical state (window
 size, component count, forest edge set) plus the RC-tree's byte-level
 snapshot, the same shape the chaos suite asserts convergence with.
-
-An attached controller (:class:`repro.trace.control.AdaptiveController`
-live, or :class:`~repro.trace.control.ScriptedController` replaying a
-recorded tuning run) observes per-round latency and follower lag and
-adjusts the virtual flush deadline and the per-tick replication budget
-as the replay progresses.
 """
 
 from __future__ import annotations
@@ -52,8 +46,8 @@ from repro.obs.metrics import get_metrics
 from repro.replication.replicated import ReplicatedService
 from repro.service.query import QueryService
 from repro.service.service import ServiceConfig, apply_ops
-from repro.service.wal import WalTruncated
-from repro.trace.record import TraceEvent, ops_from_json, read_trace
+from repro.service.wal import WalTruncated, ops_from_json
+from repro.trace.record import TraceEvent, read_trace
 
 
 class VirtualClock:
@@ -116,7 +110,7 @@ class ReplayConfig:
             and determinism is asserted against the replay's own WAL
             only.
         replication_budget: max rounds a follower ships per tick
-            (``None``: unbounded; a controller's ``budget`` overrides).
+            (``None``: unbounded).
         on_lag: the :class:`~repro.service.query.QueryService` lag
             policy for replayed reads (default ``"catch_up"``, the
             deterministic one).
@@ -155,7 +149,6 @@ class ReplayResult:
     reads_per_s: float
     wall_s: float
     deterministic: bool | None
-    decisions: tuple = ()
     stats: dict = field(default_factory=dict)
 
 
@@ -246,9 +239,6 @@ class TraceReplayer:
         config: a :class:`ReplayConfig`; defaults throughout.
         data_dir: WAL/snapshot directory for the replayed service (a
             fresh temp-ish directory per replay; must be empty).
-        controller: optional adaptive controller (live or scripted);
-            its ``flush_interval`` steers the virtual flush deadline in
-            re-batching mode and its ``budget`` caps replication ticks.
         chaos: optional :class:`~repro.chaos.schedule.ChaosSchedule` to
             fire while replaying (``preserve_rounds`` only); composes
             with ``faults`` exactly as the chaos soak does.
@@ -263,7 +253,6 @@ class TraceReplayer:
         factory: Callable[[], Any] | None = None,
         config: ReplayConfig | None = None,
         data_dir: str | pathlib.Path | None = None,
-        controller: Any | None = None,
         chaos: ChaosSchedule | None = None,
         faults: Any | None = None,
     ) -> None:
@@ -280,7 +269,6 @@ class TraceReplayer:
                 "replay needs a fresh data_dir for the replayed WAL"
             )
         self.data_dir = pathlib.Path(data_dir)
-        self.controller = controller
         self.chaos = chaos
         self.faults = faults
         if chaos is not None and not self.config.preserve_rounds:
@@ -348,14 +336,8 @@ class TraceReplayer:
                             svc, clock, pending_since_us
                         )
                         self._tick(svc)
-                    wall_ms = (time.perf_counter() - t0) * 1e3
-                    write_ms.append(wall_ms)
+                    write_ms.append((time.perf_counter() - t0) * 1e3)
                     rounds += 1
-                    if self.controller is not None:
-                        self.controller.observe_round(wall_ms)
-                        lag = svc.lag()
-                        if lag:
-                            self.controller.observe_lag(max(lag.values()))
                 elif ev.kind == "read":
                     if not cfg.preserve_rounds:
                         # A read observes the recorded prefix: force the
@@ -383,11 +365,6 @@ class TraceReplayer:
                     read_ms.append((time.perf_counter() - t0) * 1e3)
                     reads += len(res.answers)
                     read_batches += 1
-                # "control" events carry the *recorded* run's decisions;
-                # a ScriptedController (built from these same events)
-                # re-applies them below, so here they are data, not code.
-                if self.controller is not None:
-                    self.controller.on_event(ev.seq)
                 m.counter("trace.events_replayed").inc()
             if not cfg.preserve_rounds:
                 svc.primary.drain()
@@ -416,7 +393,6 @@ class TraceReplayer:
             reads_per_s=(reads / read_wall_s) if read_wall_s > 0 else 0.0,
             wall_s=wall_s,
             deterministic=deterministic,
-            decisions=tuple(getattr(self.controller, "decisions", ())),
             stats=stats,
         )
 
@@ -443,15 +419,11 @@ class TraceReplayer:
         The live service's deadline flush rides a background thread and
         wall clocks; the replay keeps the same semantics deterministic
         by flushing when virtual time since the first pending item
-        exceeds the (possibly controller-tuned) flush interval.
+        exceeds the configured flush interval.
         """
         if pending_since_us is None or svc.primary.queue_depth == 0:
             return None
-        interval = (
-            self.controller.flush_interval
-            if self.controller is not None
-            else self._service_config().flush_interval
-        )
+        interval = self._service_config().flush_interval
         if clock.now_us - pending_since_us >= interval * 1e6:
             svc.primary.flush()
             return None
@@ -462,16 +434,13 @@ class TraceReplayer:
     ) -> None:
         """One replication tick: followers ship up to ``budget`` rounds.
 
-        ``budget=0`` (the per-event default) resolves to the
-        controller's budget, else the config's, else unbounded.
+        ``budget=0`` (the per-event default) resolves to the config's
+        budget (``None``: unbounded).
         """
         if not svc.followers:
             return
         if budget == 0:
-            if self.controller is not None:
-                budget = int(self.controller.budget)
-            else:
-                budget = self.config.replication_budget
+            budget = self.config.replication_budget
         for f in svc.followers:
             if f.alive:
                 f.catch_up(budget)

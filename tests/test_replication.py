@@ -309,21 +309,6 @@ class TestWalGrowth:
         assert fingerprint(svc2.structure) == fingerprint(direct)
         svc2.close()
 
-    def test_legacy_single_file_wal_migrates(self, tmp_path):
-        legacy = WriteAheadLog(tmp_path / "wal.jsonl")
-        legacy.append([("i", ((0, 1), (1, 2)))])
-        legacy.append([("e", 1)])
-        legacy.close()
-        svc = StreamService.open(tmp_path, make_sw, config=svc_config())
-        assert svc.next_lsn == 2
-        assert not (tmp_path / "wal.jsonl").exists()
-        assert (tmp_path / "wal" / "wal-000000000000-000000.jsonl").exists()
-        direct = make_sw()
-        direct.batch_insert([(0, 1), (1, 2)])
-        direct.batch_expire(1)
-        assert fingerprint(svc.structure) == fingerprint(direct)
-        svc.close()
-
 
 # ----------------------------------------------------------------------
 # Followers

@@ -122,9 +122,9 @@ class TestTraceWriter:
         with TraceWriter(path) as w:
             assert w.next_seq == 3
             assert w.meta == {"who": "test"}  # header meta wins on resume
-            w.append(9000, "control", {"knob": "budget", "value": 8})
+            w.append(9000, "read", {"queries": [["components"]]})
         _, events = read_trace(path)
-        assert len(events) == 4 and events[-1].kind == "control"
+        assert len(events) == 4 and events[-1].kind == "read"
 
     def test_timestamps_clamped_monotone(self, tmp_path):
         with TraceWriter(tmp_path / "t.trace.jsonl") as w:
@@ -213,7 +213,7 @@ class TestTraceWriter:
             w.append(900, "read", {"queries": [["components"]]})
         s = trace_summary(path)
         assert s["events"] == 3
-        assert s["kinds"] == {"write": 2, "read": 1, "control": 0}
+        assert s["kinds"] == {"write": 2, "read": 1}
         assert s["items"] == 3  # two inserted edges + one expire op
         assert s["duration_us"] == 900
         assert s["meta"] == {"x": 1}
@@ -239,10 +239,8 @@ class TestTraceRecorder:
         ev = rec.record_read([("components",)], at_least=0)
         assert ev.t_us == 500_000
         assert ev.body == {"queries": [["components"]], "at_least": 0}
-        ev = rec.record_control("budget", 32.0, reason="lag", observed=9.0)
-        assert ev.body["knob"] == "budget" and ev.body["observed"] == 9.0
         rec.close()
-        assert rec.events_recorded == 3
+        assert rec.events_recorded == 2
 
     def test_concurrent_records_keep_seq_dense(self, tmp_path):
         rec = TraceRecorder(tmp_path / "t.trace.jsonl")

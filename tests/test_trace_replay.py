@@ -11,9 +11,6 @@ The claims, each pinned here:
   fault-free oracle -- crashed rounds were never durable, retried
   rounds record once -- and a clean trace replayed *while* a chaos tape
   fires still converges to the trace oracle.
-- **Adaptive control reproducibility**: a tuning run's knob decisions,
-  trace-recorded by :class:`AdaptiveController`, replay
-  decision-for-decision through :class:`ScriptedController`.
 """
 
 from __future__ import annotations
@@ -32,10 +29,7 @@ from repro.service.query import QueryService
 from repro.service.service import ServiceConfig
 from repro.sliding_window import SWConnectivityEager
 from repro.trace import (
-    AdaptiveController,
-    ControlConfig,
     ReplayConfig,
-    ScriptedController,
     TraceRecorder,
     TraceReplayer,
     VirtualClock,
@@ -344,84 +338,3 @@ class TestChaosComposition:
                 data_dir=tmp_path / "rp",
                 chaos=ChaosSchedule.generate(seed=1, events=2, steps=3),
             )
-
-
-# ----------------------------------------------------------------------
-# Adaptive control: tuned live, replayed scripted
-# ----------------------------------------------------------------------
-
-
-class TestAdaptiveControl:
-    def test_controller_decisions_are_recorded_and_scriptable(self, tmp_path):
-        trace_path, fp, _ = record_workload(tmp_path, sample_rounds(rounds=16))
-        meta, events = read_trace(trace_path)
-
-        side = TraceRecorder(tmp_path / "tuning.trace.jsonl")
-        live = AdaptiveController(
-            ControlConfig(
-                window=3,
-                target_p99_ms=1e-6,  # always over: flush deadline shrinks
-                target_lag_p99=0.5,  # any lag: budget grows
-                min_budget=1,
-            ),
-            flush_interval=0.05,
-            budget=1,
-            recorder=side,
-        )
-        res_live = TraceReplayer(
-            (meta, events),
-            config=ReplayConfig(followers=1, replication_budget=1),
-            data_dir=tmp_path / "rp-live",
-            controller=live,
-        ).run()
-        side.close()
-        assert res_live.fingerprint == fp
-        assert live.decisions  # the loop actually tuned something
-        knobs = {d.knob for d in live.decisions}
-        assert "flush_interval" in knobs
-
-        _, tuning_events = read_trace(side.path)
-        assert [e.kind for e in tuning_events] == ["control"] * len(
-            live.decisions
-        )
-        scripted = ScriptedController(
-            tuning_events, flush_interval=0.05, budget=1
-        )
-        res_scripted = TraceReplayer(
-            (meta, events),
-            config=ReplayConfig(followers=1, replication_budget=1),
-            data_dir=tmp_path / "rp-scripted",
-            controller=scripted,
-        ).run()
-        assert res_scripted.fingerprint == fp
-        assert scripted.decisions == live.decisions
-        assert scripted.flush_interval == live.flush_interval
-        assert scripted.budget == live.budget
-
-    def test_budget_shrinks_when_lag_is_zero(self):
-        c = AdaptiveController(
-            ControlConfig(window=2, target_p99_ms=1e9, min_budget=4),
-            budget=64,
-        )
-        for seq in range(2):
-            c.observe_round(0.01)
-            c.observe_lag(0.0)
-            c.on_event(seq)
-        assert c.budget == 32
-        assert c.decisions[-1].knob == "budget"
-
-    def test_flush_interval_grows_when_comfortable(self):
-        c = AdaptiveController(
-            ControlConfig(window=2, target_p99_ms=100.0),
-            flush_interval=0.01,
-        )
-        for seq in range(2):
-            c.observe_round(0.5)  # far under target
-            c.on_event(seq)
-        assert c.flush_interval == pytest.approx(0.0125)
-
-    def test_no_decision_before_window_fills(self):
-        c = AdaptiveController(ControlConfig(window=8, target_p99_ms=1e-9))
-        c.observe_round(100.0)
-        assert c.on_event(0) == []
-        assert c.decisions == []
