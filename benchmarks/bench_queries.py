@@ -24,7 +24,7 @@ NS = [256, 1024, 4096]
 def _forest(n: int, seed: int = 7) -> DynamicForest:
     rng = random.Random(seed)
     cost = CostModel()
-    f = DynamicForest(n, seed=seed, cost=cost)
+    f = DynamicForest(n, seed=seed, cost=cost, augment="full")
     f.batch_link(
         [(u, v, w, i) for i, (u, v, w) in enumerate(random_tree_edges(n, rng))]
     )

@@ -25,7 +25,7 @@ N = 400  # road junctions
 
 def main() -> None:
     rng = random.Random(13)
-    roads = DynamicForest(N, seed=1)
+    roads = DynamicForest(N, seed=1, augment="full")  # path sums, diameters
 
     # Build the initial road tree: junction i connects to an earlier one.
     links = []

@@ -97,12 +97,15 @@ class BatchIncrementalMSF:
         # The empty-forest build is charged to its own phase so that every
         # unit of work on this model is attributed to a named phase (the
         # observability layer's sum-to-total invariant; docs/observability.md).
+        # Algorithm 2 reads only path maxima and CPT edges, so the forest
+        # maintains the ``msf`` augmentation profile.
         with self.cost.phase("init", items=n):
             self.forest = DynamicForest(
                 n,
                 seed=seed,
                 cost=self.cost,
                 compress_rule=compress_rule,
+                augment="msf",
             )
         if callable(kernel):
             self._kernel = kernel

@@ -32,7 +32,7 @@ class SequentialIncrementalMSF:
     ) -> None:
         self.n = n
         self.cost = cost if cost is not None else CostModel()
-        self.forest = DynamicForest(n, seed=seed, cost=self.cost)
+        self.forest = DynamicForest(n, seed=seed, cost=self.cost, augment="msf")
         self._next_eid = 0
         self._seen_eids: set[int] = set()
 

@@ -599,6 +599,7 @@ class StreamService:
                 m.counter("service.wal_rotations").inc()
                 if dropped:
                     m.counter("service.wal_segments_truncated").inc(dropped)
+                m.gauge("service.wal_bytes").set(self._wal.bytes_written)
 
         if self.config.retry is not None:
             self.config.retry.call(once)

@@ -458,6 +458,14 @@ class SegmentedWal:
             )
         if fsync:
             self._io.fsync_dir(self.directory)
+        self._recount_sealed()
+
+    def _recount_sealed(self) -> None:
+        """Re-read the sizes of every segment but the open one (after
+        open, rotation, promotion and truncation: never per append)."""
+        self._sealed_bytes = sum(
+            s.size for s in self.segments() if s.path != self._writer.path
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -475,8 +483,10 @@ class SegmentedWal:
 
     @property
     def bytes_written(self) -> int:
-        """Total bytes across all live segments."""
-        return sum(s.size for s in self.segments())
+        """Total bytes across all live segments: the sealed segments'
+        sizes as of the last open/rotate/reset/truncate plus the open
+        segment's durable size (no directory listing)."""
+        return self._sealed_bytes + self._writer.bytes_written
 
     def segments(self) -> list[SegmentInfo]:
         """The on-disk segments, sorted by (start, epoch)."""
@@ -527,6 +537,7 @@ class SegmentedWal:
         self._writer = successor
         if self.fsync:
             self._io.fsync_dir(self.directory)
+        self._recount_sealed()
         return self._writer.path
 
     def reset_to(self, lsn: int, epoch: int) -> pathlib.Path:
@@ -557,6 +568,7 @@ class SegmentedWal:
         )
         if self.fsync:
             self._io.fsync_dir(self.directory)
+        self._recount_sealed()
         return self._writer.path
 
     def truncate_before(self, lsn: int) -> int:
@@ -613,6 +625,7 @@ class SegmentedWal:
                 self._io.fsync_dir(self.directory)
             live = self.segments()
             self._base = live[0].start if live else self._next_lsn
+            self._recount_sealed()
         return removed
 
     def records(self, start_lsn: int | None = None) -> list[WalRecord]:

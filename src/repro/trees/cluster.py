@@ -17,6 +17,34 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
+#: Augmentation profiles, fixed when a forest is built.  ``msf`` keeps
+#: what Algorithm 2, its compressed path trees and the batch reads use:
+#: cluster kind, boundary and the path max ``(w, eid)``.  ``full`` adds
+#: the path sum/count, subtree totals and distance columns behind the
+#: ``DynamicForest`` path/component/diameter queries.  A rebuilt cluster
+#: re-marks its parent only when a maintained field changed, so ``msf``
+#: also propagates less.
+AUGMENT_PROFILES = ("msf", "full")
+
+
+def check_augment(augment: str) -> None:
+    """Raise ``ValueError`` unless ``augment`` names a profile."""
+    if augment not in AUGMENT_PROFILES:
+        raise ValueError(
+            f"augment must be one of {AUGMENT_PROFILES}, got {augment!r}"
+        )
+
+
+def require_full(augment: str, what: str) -> None:
+    """Raise ``ValueError`` when ``what`` needs columns that an ``msf``
+    forest does not maintain."""
+    if augment != "full":
+        raise ValueError(
+            f"{what} needs augment='full'; this forest was built with "
+            f"augment={augment!r}, which maintains only kind, boundary and "
+            "path max"
+        )
+
 
 class ClusterKind(enum.Enum):
     """The five cluster kinds of an RC tree (Section 2.2)."""

@@ -62,7 +62,9 @@ class CompressedPathTree:
         edges: ``(u, v, weight, eid)`` -- each annotated with the heaviest
             physical edge on the path segment it represents.
         aggregates: per-edge :class:`PathAggregate` aligned with ``edges``
-            (adds the segment's total real weight and real-edge count).
+            (adds the segment's total real weight and real-edge count);
+            empty when built on an ``augment="msf"`` forest, which does
+            not maintain path sums.
         marked: the subset of ``vertices`` that was marked.
     """
 
@@ -93,15 +95,9 @@ class CompressedPathTree:
             self._adj = adj
         return adj
 
-    def path_aggregate(self, u: int, v: int) -> PathAggregate | None:
-        """Aggregates of the (unique) CPT path ``u -- v``.
-
-        ``u`` and ``v`` must be CPT vertices -- in practice, marked when
-        the tree was built.  Returns ``None`` when they sit in different
-        components or ``u == v``.  O(size of the CPT), so answering a
-        whole batch of queries against one CPT keeps the per-query cost
-        at the Theorem 3.2 amortized bound.
-        """
+    def _path_edges(self, u: int, v: int) -> list[int] | None:
+        """Indices into ``edges`` of the (unique) CPT path ``u -- v``;
+        ``None`` when disconnected or ``u == v``."""
         adj = self._adjacency()
         if u not in adj or v not in adj:
             raise KeyError(f"({u}, {v}): not CPT vertices")
@@ -121,20 +117,43 @@ class CompressedPathTree:
             frontier = nxt
         if v not in parent:
             return None
-        agg: PathAggregate | None = None
+        path = []
         x = v
         while x != u:
             x, ei = parent[x]
-            agg = self.aggregates[ei] if agg is None else agg.combine(
-                self.aggregates[ei]
+            path.append(ei)
+        return path
+
+    def path_aggregate(self, u: int, v: int) -> PathAggregate | None:
+        """Aggregates of the (unique) CPT path ``u -- v``.
+
+        ``u`` and ``v`` must be CPT vertices -- in practice, marked when
+        the tree was built.  Returns ``None`` when they sit in different
+        components or ``u == v``.  O(size of the CPT), so answering a
+        whole batch of queries against one CPT keeps the per-query cost
+        at the Theorem 3.2 amortized bound.  Raises ``ValueError`` on a
+        tree built without aggregates (an ``augment="msf"`` forest).
+        """
+        if self.edges and not self.aggregates:
+            raise ValueError(
+                "path_aggregate needs a compressed path tree built on an "
+                "augment='full' forest"
             )
+        path = self._path_edges(u, v)
+        if path is None:
+            return None
+        agg = self.aggregates[path[0]]
+        for ei in path[1:]:
+            agg = agg.combine(self.aggregates[ei])
         return agg
 
     def path_max(self, u: int, v: int) -> tuple[float, int] | None:
         """Heaviest physical ``(weight, eid)`` on the CPT path ``u -- v``
         (``None`` when disconnected or ``u == v``)."""
-        agg = self.path_aggregate(u, v)
-        return None if agg is None else (agg.max_w, agg.max_eid)
+        path = self._path_edges(u, v)
+        if path is None:
+            return None
+        return max(self.edges[ei][2:] for ei in path)
 
     def connected(self, u: int, v: int) -> bool:
         """Whether CPT vertices ``u`` and ``v`` share a component.
@@ -142,7 +161,7 @@ class CompressedPathTree:
         Faithful to the underlying forest for *marked* vertices: the CPT
         spans every component containing a mark.
         """
-        return u == v or self.path_aggregate(u, v) is not None
+        return u == v or self._path_edges(u, v) is not None
 
 
 class _GraphBuilder:
@@ -204,7 +223,8 @@ def compressed_path_trees(
 
     ``marked`` are vertex ids of ``rc``.  Isolated marked vertices appear in
     the result with no edges.  Work is charged per RC-tree node touched,
-    span as the maximum expansion depth (Theorem 3.2).
+    span as the maximum expansion depth (Theorem 3.2).  On an
+    ``augment="msf"`` forest the result has no ``aggregates``.
     """
     marked_set = {int(v) for v in marked}
     for v in marked_set:
@@ -254,6 +274,8 @@ def compressed_path_trees(
             if a < b:
                 edges.append((a, b, agg.max_w, agg.max_eid))
                 aggs.append(agg)
+    if rc.augment != "full":
+        aggs = []  # path sums and counts are not maintained
     return CompressedPathTree(
         vertices=vertices, edges=edges, aggregates=aggs, marked=marked_set
     )

@@ -5,6 +5,14 @@ callers speak in original vertices ``0..n-1`` and non-negative edge ids;
 internally every operation runs on the bounded-degree forest.  Supports
 batch link, batch cut, connectivity, heaviest-edge path queries and
 compressed path trees -- everything Algorithm 2 needs.
+
+The augmentation profile is fixed at construction.  ``augment="msf"``
+maintains exactly what Algorithm 2 and the batch reads use (cluster
+kind, boundary, path max), which is what :class:`BatchIncrementalMSF
+<repro.core.BatchIncrementalMSF>` and everything above it build.
+``augment="full"`` (the default) also maintains the path sums, subtree
+totals and distances behind the path/component/diameter queries; those
+queries raise ``ValueError`` on an ``msf`` forest.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.runtime.cost import CostModel
+from repro.trees.cluster import require_full
 from repro.trees.cpt import CompressedPathTree
 from repro.trees.rcarray import RCArrayForest
 from repro.trees.ternary import TernaryForest
@@ -32,6 +41,7 @@ class DynamicForest:
         seed: int = 0x5EED,
         cost: CostModel | None = None,
         compress_rule: str = "mr",
+        augment: str = "full",
     ) -> None:
         self.n = n
         self.cost = cost if cost is not None else CostModel(enabled=False)
@@ -41,12 +51,18 @@ class DynamicForest:
             seed=seed,
             cost=self.cost,
             compress_rule=compress_rule,
+            augment=augment,
         )
         self._edge_info: dict[int, tuple[int, int, float]] = {}
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
+
+    @property
+    def augment(self) -> str:
+        """The augmentation profile (``"msf"`` or ``"full"``)."""
+        return self.rc.augment
 
     @property
     def num_edges(self) -> int:
@@ -190,10 +206,22 @@ class DynamicForest:
         """Heaviest ``(weight, eid)`` on the tree path ``u -- v``.
 
         Returns ``None`` if disconnected or ``u == v``.  O(lg n) w.h.p. --
-        this is the compressed path tree of two marked vertices.
+        this is the compressed path tree of two marked vertices.  Works on
+        both augmentation profiles.
         """
-        agg = self.path_aggregate(u, v)
-        return None if agg is None else (agg.max_w, agg.max_eid)
+        if u == v:
+            return None
+        cpt = self.compressed_path_tree([u, v])
+        if not cpt.edges:
+            return None
+        ((a, b, w, eid),) = cpt.edges
+        assert {a, b} == {u, v}
+        return (w, eid)
+
+    # -- S15 queries: need augment="full" ---------------------------------
+
+    def _require_full(self, what: str) -> None:
+        require_full(self.augment, f"DynamicForest.{what}")
 
     def path_aggregate(self, u: int, v: int):
         """Full aggregates of the tree path ``u -- v``: heaviest edge, total
@@ -201,6 +229,7 @@ class DynamicForest:
 
         Returns ``None`` if disconnected or ``u == v``.  O(lg n) w.h.p.
         """
+        self._require_full("path_aggregate")
         if u == v:
             return None
         cpt = self.compressed_path_tree([u, v])
@@ -212,6 +241,7 @@ class DynamicForest:
 
     def path_sum(self, u: int, v: int) -> float | None:
         """Total weight of the tree path ``u -- v`` (None if disconnected)."""
+        self._require_full("path_sum")
         agg = self.path_aggregate(u, v)
         if agg is None:
             return 0.0 if u == v and 0 <= u < self.n else None
@@ -219,6 +249,7 @@ class DynamicForest:
 
     def path_length(self, u: int, v: int) -> int | None:
         """Number of edges on the tree path ``u -- v`` (None if disconnected)."""
+        self._require_full("path_length")
         agg = self.path_aggregate(u, v)
         if agg is None:
             return 0 if u == v and 0 <= u < self.n else None
@@ -226,7 +257,8 @@ class DynamicForest:
 
     # -- component aggregates (O(lg n) root walk + O(1) read) -------------
 
-    def _root(self, v: int):
+    def _root(self, v: int, what: str):
+        self._require_full(what)
         return self.rc.component_summary(self.ternary.canonical(v))
 
     def component_size(self, v: int) -> int:
@@ -235,15 +267,15 @@ class DynamicForest:
         The root cluster counts ternarization copies, but a tree's original
         vertex count is its real-edge count plus one.
         """
-        return self._root(v).sub_edges + 1
+        return self._root(v, "component_size").sub_edges + 1
 
     def component_edge_count(self, v: int) -> int:
         """Number of edges in ``v``'s tree."""
-        return self._root(v).sub_edges
+        return self._root(v, "component_edge_count").sub_edges
 
     def component_weight(self, v: int) -> float:
         """Total edge weight of ``v``'s tree."""
-        return self._root(v).sub_sum
+        return self._root(v, "component_weight").sub_sum
 
     def split_aggregates(self, eid: int) -> tuple[dict, dict]:
         """What-if query: the component aggregates of the two sides that
@@ -253,6 +285,7 @@ class DynamicForest:
         state is a pure function of (edge set, seed), the relink restores
         the exact prior state.  O(lg n) w.h.p. per phase.
         """
+        self._require_full("split_aggregates")
         u, v, w = self.edge_info(eid)
         self.batch_cut([eid])
         try:
@@ -274,12 +307,12 @@ class DynamicForest:
         """Maximum path weight between any two vertices of ``v``'s tree
         (0 for an isolated vertex).  O(lg n) w.h.p. -- the classic RC-tree
         distance augmentation [3]."""
-        return self._root(v).diam[0]
+        return self._root(v, "component_diameter").diam[0]
 
     def component_diameter_endpoints(self, v: int) -> tuple[int, int]:
         """A vertex pair realising the component diameter (original ids;
         ``(v, v)`` for an isolated vertex).  O(lg n) w.h.p."""
-        _, x, y = self._root(v).diam
+        _, x, y = self._root(v, "component_diameter_endpoints").diam
         owner = self.ternary.owner
         return (owner(x), owner(y))
 
@@ -290,6 +323,7 @@ class DynamicForest:
         tree is an endpoint of some diameter; O(lg n) w.h.p.  Assumes
         non-negative weights (as eccentricity requires to be meaningful).
         """
+        self._require_full("eccentricity")
         a, b = self.component_diameter_endpoints(u)
         da = self.path_sum(u, a) if u != a else 0.0
         db = self.path_sum(u, b) if u != b else 0.0
@@ -298,6 +332,7 @@ class DynamicForest:
     def farthest_vertex(self, u: int) -> tuple[int, float]:
         """The vertex of ``u``'s tree farthest from ``u`` and its distance
         (``(u, 0.0)`` for an isolated vertex).  O(lg n) w.h.p."""
+        self._require_full("farthest_vertex")
         a, b = self.component_diameter_endpoints(u)
         da = self.path_sum(u, a) if u != a else 0.0
         db = self.path_sum(u, b) if u != b else 0.0
@@ -309,7 +344,8 @@ class DynamicForest:
         Internal ternarization copies are contracted away: Steiner vertices
         are reported under their original ids, virtual chain edges vanish,
         and every edge is annotated with the heaviest physical ``(w, eid)``
-        on the path segment it represents (Theorem 3.2 bounds).
+        on the path segment it represents (Theorem 3.2 bounds).  Per-edge
+        ``aggregates`` are filled only under ``augment="full"``.
         """
         marks = sorted({int(v) for v in marked})
         for v in marks:
@@ -323,14 +359,16 @@ class DynamicForest:
         vertices = sorted(set(map(owner.__getitem__, raw.vertices)))
         edges: list[tuple[int, int, float, int]] = []
         aggs = []
-        for (a, b, w, eid), agg in zip(raw.edges, raw.aggregates):
+        raw_aggs = raw.aggregates
+        for k, (a, b, w, eid) in enumerate(raw.edges):
             if eid < 0:  # virtual chain link (TernaryForest.is_virtual_eid)
                 continue  # all-virtual segment: endpoints share an owner
             oa, ob = owner[a], owner[b]
             if oa == ob:  # pragma: no cover - forests cannot revisit a vertex
                 raise AssertionError(f"real CPT segment loops at vertex {oa}")
             edges.append((oa, ob, w, eid))
-            aggs.append(agg)
+            if raw_aggs:
+                aggs.append(raw_aggs[k])
         return CompressedPathTree(
             vertices=vertices, edges=edges, aggregates=aggs, marked=set(marks)
         )

@@ -26,12 +26,15 @@ vertex id):
   ``2`` rake (target ``da``), ``3`` compress (``da < db``).
 
 *RC-tree node table* (one row per cluster node, grown by doubling):
-kind/rep/eid/level/parent plus every augmentation of
-:class:`~repro.trees.cluster.ClusterNode` flattened into parallel
-columns (boundary as ``nb/b0/b1``, path max/sum/count, subtree counts,
-per-boundary farthest-vertex pairs, diameter triple).  Children lists
-stay as Python lists -- they are only walked by CPT expansion and
-snapshots, never by the hot propagation loop.
+kind/rep/eid/level/parent, the boundary as ``nb/b0/b1``, the path max
+``pw/pe`` and the oriented binary children ``e1/e2``.  Under the
+``full`` augmentation profile the table also carries the rest of
+:class:`~repro.trees.cluster.ClusterNode`'s augmentation as 13 more
+columns (path sum/count, subtree counts, per-boundary farthest-vertex
+pairs, diameter triple); under ``msf`` they are not allocated (see
+:data:`repro.trees.cluster.AUGMENT_PROFILES`).  Children lists stay as
+Python lists -- they are only walked by CPT expansion and snapshots,
+never by the hot propagation loop.
 
 Small frontiers take a scalar path (Python loops over the same arrays);
 frontiers of at least ``DENSE_THRESHOLD`` vertices take the vectorized
@@ -51,6 +54,7 @@ import numpy as np
 from repro.runtime.cost import CostModel, log2ceil
 from repro.runtime.hashing import HashBits
 from repro.trees import batchquery
+from repro.trees.cluster import check_augment, require_full
 from repro.trees.ternary import InternalLink
 
 _MAX_LEVELS = 4096  # hard safety cap; ~lg n levels are used in practice
@@ -161,12 +165,16 @@ class RCArrayForest:
         seed: int = 0x5EED,
         cost: CostModel | None = None,
         compress_rule: str = "mr",
+        augment: str = "full",
     ) -> None:
         if compress_rule not in ("mr", "ordered"):
             raise ValueError(
                 f"compress_rule must be 'mr' or 'ordered', got {compress_rule!r}"
             )
+        check_augment(augment)
         self.compress_rule = compress_rule
+        self.augment = augment
+        self._full = augment == "full"
         self.cost = cost if cost is not None else CostModel(enabled=False)
         self._bits = HashBits(seed)
         self.seed = self._bits.seed
@@ -217,6 +225,13 @@ class RCArrayForest:
         if init:
             self._propagate(set(init))
 
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints pickled before augmentation profiles existed carry
+        # every column: they load as ``full``.
+        state.setdefault("augment", "full")
+        state.setdefault("_full", state["augment"] == "full")
+        self.__dict__.update(state)
+
     # ------------------------------------------------------------------
     # Storage management
     # ------------------------------------------------------------------
@@ -239,19 +254,20 @@ class RCArrayForest:
         self._nb1 = ext(g("_nb1"), -1, np.int64)
         self._npw = ext(g("_npw"), _NEG, np.float64)
         self._npe = ext(g("_npe"), -1, np.int64)
-        self._nps = ext(g("_nps"), 0.0, np.float64)
-        self._npc = ext(g("_npc"), 0, np.int64)
-        self._nsv = ext(g("_nsv"), 0, np.int64)
-        self._nse = ext(g("_nse"), 0, np.int64)
-        self._nss = ext(g("_nss"), 0.0, np.float64)
-        self._nnm = ext(g("_nnm"), 0, np.int8)
-        self._n0w = ext(g("_n0w"), _NEG, np.float64)
-        self._n0v = ext(g("_n0v"), -1, np.int64)
-        self._n1w = ext(g("_n1w"), _NEG, np.float64)
-        self._n1v = ext(g("_n1v"), -1, np.int64)
-        self._ndw = ext(g("_ndw"), _NEG, np.float64)
-        self._ndx = ext(g("_ndx"), -1, np.int64)
-        self._ndy = ext(g("_ndy"), -1, np.int64)
+        if self._full:
+            self._nps = ext(g("_nps"), 0.0, np.float64)
+            self._npc = ext(g("_npc"), 0, np.int64)
+            self._nsv = ext(g("_nsv"), 0, np.int64)
+            self._nse = ext(g("_nse"), 0, np.int64)
+            self._nss = ext(g("_nss"), 0.0, np.float64)
+            self._nnm = ext(g("_nnm"), 0, np.int8)
+            self._n0w = ext(g("_n0w"), _NEG, np.float64)
+            self._n0v = ext(g("_n0v"), -1, np.int64)
+            self._n1w = ext(g("_n1w"), _NEG, np.float64)
+            self._n1v = ext(g("_n1v"), -1, np.int64)
+            self._ndw = ext(g("_ndw"), _NEG, np.float64)
+            self._ndx = ext(g("_ndx"), -1, np.int64)
+            self._ndy = ext(g("_ndy"), -1, np.int64)
         # Oriented binary children of composites (-1 when absent): _ne1
         # is the binary child adjacent to nb0, _ne2 the one adjacent to
         # nb1.  Consumed by the batch read kernels; deliberately NOT part
@@ -345,10 +361,11 @@ class RCArrayForest:
             self._grow_cap(v)
         if self._vl[v] == -1:
             leaf = self._new_node(_K_VERTEX, rep=v)
-            self._nsv[leaf] = 1
-            self._ndw[leaf] = 0.0
-            self._ndx[leaf] = v
-            self._ndy[leaf] = v
+            if self._full:
+                self._nsv[leaf] = 1
+                self._ndw[leaf] = 0.0
+                self._ndx[leaf] = v
+                self._ndy[leaf] = v
             self._vl[v] = leaf
             self._Ld[0][v] = 0
             self._Lnlive[0] += 1
@@ -640,7 +657,11 @@ class RCArrayForest:
         return resw, rese, work, rounds
 
     def component_summary(self, v: int) -> ComponentSummary:
-        """Aggregates of ``v``'s root cluster (O(lg n) root walk)."""
+        """Aggregates of ``v``'s root cluster (O(lg n) root walk).
+
+        Needs ``augment="full"``; an ``msf`` forest raises ``ValueError``.
+        """
+        require_full(self.augment, "component_summary")
         r = self.root_id(v)
         return ComponentSummary(
             int(self._nsv[r]),
@@ -809,15 +830,16 @@ class RCArrayForest:
                 self._nb1[lf] = np.asarray(llb, np.int64)
                 self._npw[lf] = wv
                 self._npe[lf] = ea
-                self._nnm[lf] = 2
-                real = ea >= 0  # virtual ternarization links carry no length
-                if real.any():
-                    lr = lf[real]
-                    wr = wv[real]
-                    self._nps[lr] = wr
-                    self._npc[lr] = 1
-                    self._nse[lr] = 1
-                    self._nss[lr] = wr
+                if self._full:
+                    self._nnm[lf] = 2
+                    real = ea >= 0  # virtual ternarization links: no length
+                    if real.any():
+                        lr = lf[real]
+                        wr = wv[real]
+                        self._nps[lr] = wr
+                        self._npc[lr] = 1
+                        self._nse[lr] = 1
+                        self._nss[lr] = wr
             if cache:
                 # Vectorized flush: ragged-scatter the neighbour sets into
                 # a padded matrix and row-sort it (_PAD sorts last, so each
@@ -1390,8 +1412,8 @@ class RCArrayForest:
         return work
 
     def _node_sig(self, n: int) -> tuple:
-        """The parent-visible signature (mirrors ``_aug_signature``)."""
-        k = int(self._nk[n])
+        """The parent-visible signature (mirrors ``RCForest``'s): kind,
+        boundary and path max, plus the ``full`` profile's columns."""
         nb = int(self._nnb[n])
         if nb == 0:
             bnd: tuple = ()
@@ -1399,6 +1421,9 @@ class RCArrayForest:
             bnd = (int(self._nb0[n]),)
         else:
             bnd = (int(self._nb0[n]), int(self._nb1[n]))
+        sig = (int(self._nk[n]), bnd, float(self._npw[n]), int(self._npe[n]))
+        if not self._full:
+            return sig
         nm = int(self._nnm[n])
         if nm == 0:
             maxd: tuple = ()
@@ -1409,11 +1434,7 @@ class RCArrayForest:
                 (float(self._n0w[n]), int(self._n0v[n])),
                 (float(self._n1w[n]), int(self._n1v[n])),
             )
-        return (
-            k,
-            bnd,
-            float(self._npw[n]),
-            int(self._npe[n]),
+        return sig + (
             float(self._nps[n]),
             int(self._npc[n]),
             int(self._nsv[n]),
@@ -1423,33 +1444,29 @@ class RCArrayForest:
             (float(self._ndw[n]), int(self._ndx[n]), int(self._ndy[n])),
         )
 
-    def _rake_fold(self, v: int, kids: list[int]):
-        """Fold the rake group around ``v`` (same order/association as the
+    def _rake_fold(self, v: int, rakers: list[int]):
+        """Fold the rake group around ``v`` over the raked unary clusters
+        ``rakers`` (ascending raker id; same order/association as the
         ``RCForest``'s ``_rebuild_comp`` loop)."""
         mw, mv = 0.0, v
         gdw, gdx, gdy = 0.0, v, v
         gv, ge, gs = 1, 0, 0.0
-        ro = self._rakes_on[v]
-        if ro:
-            cp = self._cp
-            for w in sorted(ro):
-                r = int(cp[w])
-                kids.append(r)
-                mdw = float(self._n0w[r])
-                mdv = int(self._n0v[r])
-                rdw = float(self._ndw[r])
-                rdx = int(self._ndx[r])
-                rdy = int(self._ndy[r])
-                if (rdw, rdx, rdy) > (gdw, gdx, gdy):
-                    gdw, gdx, gdy = rdw, rdx, rdy
-                cw = mw + mdw
-                if (cw, mv, mdv) > (gdw, gdx, gdy):
-                    gdw, gdx, gdy = cw, mv, mdv
-                if (mdw, mdv) > (mw, mv):
-                    mw, mv = mdw, mdv
-                gv += int(self._nsv[r])
-                ge += int(self._nse[r])
-                gs = gs + float(self._nss[r])
+        for r in rakers:
+            mdw = float(self._n0w[r])
+            mdv = int(self._n0v[r])
+            rdw = float(self._ndw[r])
+            rdx = int(self._ndx[r])
+            rdy = int(self._ndy[r])
+            if (rdw, rdx, rdy) > (gdw, gdx, gdy):
+                gdw, gdx, gdy = rdw, rdx, rdy
+            cw = mw + mdw
+            if (cw, mv, mdv) > (gdw, gdx, gdy):
+                gdw, gdx, gdy = cw, mv, mdv
+            if (mdw, mdv) > (mw, mv):
+                mw, mv = mdw, mdv
+            gv += int(self._nsv[r])
+            ge += int(self._nse[r])
+            gs = gs + float(self._nss[r])
         return mw, mv, gdw, gdx, gdy, gv, ge, gs
 
     def _rebuild_scalar(self, v: int) -> int:
@@ -1464,13 +1481,86 @@ class RCArrayForest:
         old_sig = self._node_sig(node)
         old_children = self._nkids[node]
 
+        # The rake group around v: its vertex leaf plus the unary clusters
+        # raked onto it, in ascending raker id; then the consumed edges.
         kids: list[int] = [int(self._vl[v])]
-        mw, mv, gdw, gdx, gdy, gv, ge, gs = self._rake_fold(v, kids)
+        ro = self._rakes_on[v]
+        if ro:
+            cp = self._cp
+            kids.extend([int(cp[w]) for w in sorted(ro)])
+        group = len(kids)
 
         if t == _T_RAKE:
             u = int(self._La[i][v])
             e = self._edge_cluster[(v << 32) | u if v < u else (u << 32) | v][0]
             kids.append(e)
+            self._nk[node] = _K_UNARY
+            self._nnb[node] = 1
+            self._nb0[node] = u
+            self._nb1[node] = -1
+            self._ne1[node] = e
+            self._ne2[node] = -1
+            self._npw[node] = _NEG
+            self._npe[node] = -1
+        elif t == _T_COMP:
+            u = int(self._La[i][v])
+            w = int(self._Lb[i][v])
+            e1 = self._edge_cluster[(u << 32) | v if u < v else (v << 32) | u][0]
+            e2 = self._edge_cluster[(v << 32) | w if v < w else (w << 32) | v][0]
+            kids.append(e1)
+            kids.append(e2)
+            p1w, p1e = float(self._npw[e1]), int(self._npe[e1])
+            p2w, p2e = float(self._npw[e2]), int(self._npe[e2])
+            self._nk[node] = _K_BINARY
+            self._nnb[node] = 2
+            self._nb0[node] = u
+            self._nb1[node] = w
+            self._ne1[node] = e1
+            self._ne2[node] = e2
+            if (p1w, p1e) >= (p2w, p2e):
+                self._npw[node] = p1w
+                self._npe[node] = p1e
+            else:
+                self._npw[node] = p2w
+                self._npe[node] = p2e
+        else:  # finalize: the whole component has raked onto v
+            self._nk[node] = _K_NULLARY
+            self._nnb[node] = 0
+            self._nb0[node] = -1
+            self._nb1[node] = -1
+            self._ne1[node] = -1
+            self._ne2[node] = -1
+            self._npw[node] = _NEG
+            self._npe[node] = -1
+        if self._full:
+            self._aug_scalar(node, v, t, kids, group)
+
+        self._nlevel[node] = i
+        npar = self._npar
+        if old_children:
+            for c in old_children:
+                if c not in kids and npar[c] == node:
+                    npar[c] = -1
+        self._nkids[node] = kids
+        for c in kids:
+            npar[c] = node
+
+        if self._node_sig(node) != old_sig:
+            pn = int(npar[node])
+            if pn != -1:
+                self._drain_release(int(self._nrep[pn]))
+        return len(kids)
+
+    def _aug_scalar(
+        self, node: int, v: int, t: int, kids: list[int], group: int
+    ) -> None:
+        """The ``full`` profile's columns of one rebuilt cluster, after
+        its kind and boundary are written: ``kids[1:group]`` are the
+        raked unary clusters, ``kids[group:]`` the consumed edges."""
+        mw, mv, gdw, gdx, gdy, gv, ge, gs = self._rake_fold(v, kids[1:group])
+        if t == _T_RAKE:
+            u = int(self._nb0[node])
+            e = kids[group]
             if int(self._nb0[e]) == u:
                 euw, euv = float(self._n0w[e]), int(self._n0v[e])
                 evw, evv = float(self._n1w[e]), int(self._n1v[e])
@@ -1491,14 +1581,6 @@ class RCArrayForest:
             c3 = evw + mw
             if (c3, evv, mv) > (dw, dx, dy):
                 dw, dx, dy = c3, evv, mv
-            self._nk[node] = _K_UNARY
-            self._nnb[node] = 1
-            self._nb0[node] = u
-            self._nb1[node] = -1
-            self._ne1[node] = e
-            self._ne2[node] = -1
-            self._npw[node] = _NEG
-            self._npe[node] = -1
             self._nps[node] = 0.0
             self._npc[node] = 0
             self._nnm[node] = 1
@@ -1513,12 +1595,9 @@ class RCArrayForest:
             self._nse[node] = ge + int(self._nse[e])
             self._nss[node] = gs + float(self._nss[e])
         elif t == _T_COMP:
-            u = int(self._La[i][v])
-            w = int(self._Lb[i][v])
-            e1 = self._edge_cluster[(u << 32) | v if u < v else (v << 32) | u][0]
-            e2 = self._edge_cluster[(v << 32) | w if v < w else (w << 32) | v][0]
-            kids.append(e1)
-            kids.append(e2)
+            u = int(self._nb0[node])
+            w = int(self._nb1[node])
+            e1, e2 = kids[group], kids[group + 1]
             if int(self._nb0[e1]) == u:
                 e1uw, e1uv = float(self._n0w[e1]), int(self._n0v[e1])
                 e1vw, e1vv = float(self._n1w[e1]), int(self._n1v[e1])
@@ -1531,21 +1610,7 @@ class RCArrayForest:
             else:
                 e2ww, e2wv = float(self._n1w[e2]), int(self._n1v[e2])
                 e2vw, e2vv = float(self._n0w[e2]), int(self._n0v[e2])
-            p1w, p1e = float(self._npw[e1]), int(self._npe[e1])
-            p2w, p2e = float(self._npw[e2]), int(self._npe[e2])
             p1s, p2s = float(self._nps[e1]), float(self._nps[e2])
-            self._nk[node] = _K_BINARY
-            self._nnb[node] = 2
-            self._nb0[node] = u
-            self._nb1[node] = w
-            self._ne1[node] = e1
-            self._ne2[node] = e2
-            if (p1w, p1e) >= (p2w, p2e):
-                self._npw[node] = p1w
-                self._npe[node] = p1e
-            else:
-                self._npw[node] = p2w
-                self._npe[node] = p2e
             self._nps[node] = p1s + p2s
             self._npc[node] = int(self._npc[e1]) + int(self._npc[e2])
             if (mw, mv) >= (e2vw, e2vv):
@@ -1589,15 +1654,7 @@ class RCArrayForest:
             self._nsv[node] = (gv + int(self._nsv[e1])) + int(self._nsv[e2])
             self._nse[node] = (ge + int(self._nse[e1])) + int(self._nse[e2])
             self._nss[node] = (gs + float(self._nss[e1])) + float(self._nss[e2])
-        else:  # finalize: the whole component has raked onto v
-            self._nk[node] = _K_NULLARY
-            self._nnb[node] = 0
-            self._nb0[node] = -1
-            self._nb1[node] = -1
-            self._ne1[node] = -1
-            self._ne2[node] = -1
-            self._npw[node] = _NEG
-            self._npe[node] = -1
+        else:
             self._nps[node] = 0.0
             self._npc[node] = 0
             self._nnm[node] = 0
@@ -1611,22 +1668,6 @@ class RCArrayForest:
             self._nsv[node] = gv
             self._nse[node] = ge
             self._nss[node] = gs
-
-        self._nlevel[node] = i
-        npar = self._npar
-        if old_children:
-            for c in old_children:
-                if c not in kids and npar[c] == node:
-                    npar[c] = -1
-        self._nkids[node] = kids
-        for c in kids:
-            npar[c] = node
-
-        if self._node_sig(node) != old_sig:
-            pn = int(npar[node])
-            if pn != -1:
-                self._drain_release(int(self._nrep[pn]))
-        return len(kids)
 
     def _rebuild_dense(
         self, lvl: int, vs: list[int], pairs: list[tuple[int, int]]
@@ -1661,22 +1702,15 @@ class RCArrayForest:
         nodes = cpa
         nl0 = nodes.tolist()
 
-        e1 = np.zeros(n, np.int64)
-        e2 = np.zeros(n, np.int64)
-        mw = np.zeros(n)
-        mv = va.copy()
-        gdw = np.zeros(n)
-        gdx = va.copy()
-        gdy = va.copy()
-        gv = np.ones(n, np.int64)
-        ge = np.zeros(n, np.int64)
-        gs = np.zeros(n)
+        e1 = np.full(n, -1, np.int64)
+        e2 = np.full(n, -1, np.int64)
         ro = self._rakes_on
         nkids = self._nkids
         olds: list[list[int] | None] = [nkids[x] for x in nl0]
         kids_all: list[list[int]] = [[vf] for vf in vleafs]
-        # One- and two-raker groups (the overwhelmingly common cases) fold
-        # vectorized below; larger groups replay ``RCForest``'s loop.
+        # Rake groups, split by size: one- and two-raker groups (the
+        # overwhelmingly common cases) gather their raker clusters in one
+        # array op each (and fold vectorized under ``full``).
         single_k: list[int] = []
         single_rw: list[int] = []
         dbl_k: list[int] = []
@@ -1698,10 +1732,11 @@ class RCArrayForest:
                     dbl_rw2.append(rw2)
                 else:
                     multi_k.append(k)
+        sr = sr2a = sr2b = None
         if single_k:
-            for k, r in zip(single_k, cp[np.asarray(single_rw, np.int64)].tolist()):
+            sr = cp[np.asarray(single_rw, np.int64)]
+            for k, r in zip(single_k, sr.tolist()):
                 kids_all[k].append(r)
-        sr2a = sr2b = None
         if dbl_k:
             sr2a = cp[np.asarray(dbl_rw1, np.int64)]
             sr2b = cp[np.asarray(dbl_rw2, np.int64)]
@@ -1710,16 +1745,8 @@ class RCArrayForest:
                 kids.append(ra)
                 kids.append(rb)
         for k in multi_k:
-            (
-                mw[k],
-                mv[k],
-                gdw[k],
-                gdx[k],
-                gdy[k],
-                gv[k],
-                ge[k],
-                gs[k],
-            ) = self._rake_fold(vs[k], kids_all[k])
+            kids_all[k].extend([int(cp[w]) for w in sorted(ro[vs[k]])])
+        groups = (single_k, sr, dbl_k, sr2a, sr2b, multi_k)
         ec_get = ec.__getitem__
         rka = np.flatnonzero(tags == _T_RAKE)
         if rka.size:
@@ -1749,47 +1776,6 @@ class RCArrayForest:
         flat_kids = list(chain.from_iterable(kids_all))
         work = len(flat_kids)
 
-        def fold_step(m1, m2, g1, g2, g3, sr):
-            # One vectorized ``_rake_fold`` iteration: same comparisons,
-            # same first-wins tie handling, same float association.
-            mdw = self._n0w[sr]
-            mdv = self._n0v[sr]
-            g1, g2, g3 = _lexmax3(
-                g1, g2, g3, self._ndw[sr], self._ndx[sr], self._ndy[sr]
-            )
-            g1, g2, g3 = _lexmax3(g1, g2, g3, m1 + mdw, m2, mdv)
-            m1, m2 = _lexmax2(m1, m2, mdw, mdv)
-            return m1, m2, g1, g2, g3
-
-        if single_k:
-            sk = np.asarray(single_k, np.intp)
-            sr = cp[np.asarray(single_rw, np.int64)]
-            vsk = va[sk]
-            zero = np.zeros(sk.size)
-            m1, m2, g1, g2, g3 = fold_step(zero, vsk, zero, vsk, vsk, sr)
-            mw[sk] = m1
-            mv[sk] = m2
-            gdw[sk] = g1
-            gdx[sk] = g2
-            gdy[sk] = g3
-            gv[sk] = 1 + self._nsv[sr]
-            ge[sk] = self._nse[sr]
-            gs[sk] = 0.0 + self._nss[sr]
-        if dbl_k:
-            dk = np.asarray(dbl_k, np.intp)
-            vdk = va[dk]
-            zero = np.zeros(dk.size)
-            m1, m2, g1, g2, g3 = fold_step(zero, vdk, zero, vdk, vdk, sr2a)
-            m1, m2, g1, g2, g3 = fold_step(m1, m2, g1, g2, g3, sr2b)
-            mw[dk] = m1
-            mv[dk] = m2
-            gdw[dk] = g1
-            gdx[dk] = g2
-            gdy[dk] = g3
-            gv[dk] = (1 + self._nsv[sr2a]) + self._nsv[sr2b]
-            ge[dk] = self._nse[sr2a] + self._nse[sr2b]
-            gs[dk] = (0.0 + self._nss[sr2a]) + self._nss[sr2b]
-
         # Old parent-visible signature columns (gathered after all node
         # allocations so array references are stable).
         o_k = self._nk[nodes]
@@ -1798,179 +1784,44 @@ class RCArrayForest:
         o_b1 = self._nb1[nodes]
         o_pw = self._npw[nodes]
         o_pe = self._npe[nodes]
-        o_ps = self._nps[nodes]
-        o_pc = self._npc[nodes]
-        o_sv = self._nsv[nodes]
-        o_se = self._nse[nodes]
-        o_ss = self._nss[nodes]
-        o_nm = self._nnm[nodes]
-        o_0w = self._n0w[nodes]
-        o_0v = self._n0v[nodes]
-        o_1w = self._n1w[nodes]
-        o_1v = self._n1v[nodes]
-        o_dw = self._ndw[nodes]
-        o_dx = self._ndx[nodes]
-        o_dy = self._ndy[nodes]
 
-        # Columns whose defaults only matter for FINAL (and partly RAKE)
-        # rows are allocated uninitialised; the tag branches below write
-        # every row they own, and the defaults are scattered onto the
-        # small FINAL/RAKE index sets instead of filling whole arrays.
-        n_kind = np.empty(n, np.int8)
+        # Defaults are the FINAL row (nullary: no boundary, empty path
+        # max); the RAKE/COMP branches overwrite the rows they own.
+        n_kind = np.full(n, _K_NULLARY, np.int8)
         n_nb = np.zeros(n, np.int8)
-        n_b0 = np.empty(n, np.int64)
-        n_b1 = np.empty(n, np.int64)
-        n_pw = np.empty(n)
-        n_pe = np.empty(n, np.int64)
-        n_ps = np.zeros(n)
-        n_pc = np.zeros(n, np.int64)
-        n_sv = gv.copy()
-        n_se = ge.copy()
-        n_ss = gs.copy()
-        n_nm = np.zeros(n, np.int8)
-        n_0w = np.empty(n)
-        n_0v = np.empty(n, np.int64)
-        n_1w = np.empty(n)
-        n_1v = np.empty(n, np.int64)
-        n_dw = gdw.copy()
-        n_dx = gdx.copy()
-        n_dy = gdy.copy()
-        # Oriented binary children (not parent-visible: excluded from the
-        # `changed` signature comparison below).
-        n_e1 = np.full(n, -1, np.int64)
-        n_e2 = np.full(n, -1, np.int64)
-
-        fin = np.flatnonzero(tags == _T_FINAL)
-        if fin.size:
-            n_kind[fin] = _K_NULLARY
-            n_b0[fin] = -1
-            n_b1[fin] = -1
-            n_pw[fin] = _NEG
-            n_pe[fin] = -1
-            n_0w[fin] = _NEG
-            n_0v[fin] = -1
-            n_1w[fin] = _NEG
-            n_1v[fin] = -1
-
-        idx = np.flatnonzero(tags == _T_RAKE)
-        if idx.size:
-            eR = e1[idx]
-            uR = dal[idx]
-            iu0 = self._nb0[eR] == uR
-            euw = np.where(iu0, self._n0w[eR], self._n1w[eR])
-            euv = np.where(iu0, self._n0v[eR], self._n1v[eR])
-            evw = np.where(iu0, self._n1w[eR], self._n0w[eR])
-            evv = np.where(iu0, self._n1v[eR], self._n0v[eR])
-            mwR = mw[idx]
-            mvR = mv[idx]
-            m0w_, m0v_ = _lexmax2(euw, euv, self._nps[eR] + mwR, mvR)
-            dw_, dx_, dy_ = _lexmax3(
-                self._ndw[eR], self._ndx[eR], self._ndy[eR],
-                gdw[idx], gdx[idx], gdy[idx],
-            )
-            dw_, dx_, dy_ = _lexmax3(dw_, dx_, dy_, evw + mwR, evv, mvR)
-            n_kind[idx] = _K_UNARY
-            n_nb[idx] = 1
-            n_b0[idx] = uR
-            n_b1[idx] = -1
-            n_e1[idx] = eR
-            n_pw[idx] = _NEG
-            n_pe[idx] = -1
-            n_1w[idx] = _NEG
-            n_1v[idx] = -1
-            n_nm[idx] = 1
-            n_0w[idx] = m0w_
-            n_0v[idx] = m0v_
-            n_dw[idx] = dw_
-            n_dx[idx] = dx_
-            n_dy[idx] = dy_
-            n_sv[idx] = gv[idx] + self._nsv[eR]
-            n_se[idx] = ge[idx] + self._nse[eR]
-            n_ss[idx] = gs[idx] + self._nss[eR]
-
-        idx = np.flatnonzero(tags == _T_COMP)
-        if idx.size:
-            eA = e1[idx]
-            eB = e2[idx]
-            uC = dal[idx]
-            wC = dbl[idx]
-            i1u0 = self._nb0[eA] == uC
-            e1uw = np.where(i1u0, self._n0w[eA], self._n1w[eA])
-            e1uv = np.where(i1u0, self._n0v[eA], self._n1v[eA])
-            e1vw = np.where(i1u0, self._n1w[eA], self._n0w[eA])
-            e1vv = np.where(i1u0, self._n1v[eA], self._n0v[eA])
-            i2w0 = self._nb0[eB] == wC
-            e2ww = np.where(i2w0, self._n0w[eB], self._n1w[eB])
-            e2wv = np.where(i2w0, self._n0v[eB], self._n1v[eB])
-            e2vw = np.where(i2w0, self._n1w[eB], self._n0w[eB])
-            e2vv = np.where(i2w0, self._n1v[eB], self._n0v[eB])
+        n_b0 = np.full(n, -1, np.int64)
+        n_b1 = np.full(n, -1, np.int64)
+        n_pw = np.full(n, _NEG)
+        n_pe = np.full(n, -1, np.int64)
+        if rka.size:
+            n_kind[rka] = _K_UNARY
+            n_nb[rka] = 1
+            n_b0[rka] = dal[rka]
+        if cka.size:
+            eA = e1[cka]
+            eB = e2[cka]
             p1w = self._npw[eA]
             p1e = self._npe[eA]
             p2w = self._npw[eB]
             p2e = self._npe[eB]
             take1 = (p1w > p2w) | ((p1w == p2w) & (p1e >= p2e))
-            p1s = self._nps[eA]
-            p2s = self._nps[eB]
-            mwC = mw[idx]
-            mvC = mv[idx]
-            f1w, f1v = _lexmax2(mwC, mvC, e2vw, e2vv)
-            f2w, f2v = _lexmax2(mwC, mvC, e1vw, e1vv)
-            m0w_, m0v_ = _lexmax2(e1uw, e1uv, p1s + f1w, f1v)
-            m1w_, m1v_ = _lexmax2(e2ww, e2wv, p2s + f2w, f2v)
-            dw_, dx_, dy_ = _lexmax3(
-                self._ndw[eA], self._ndx[eA], self._ndy[eA],
-                self._ndw[eB], self._ndx[eB], self._ndy[eB],
-            )
-            dw_, dx_, dy_ = _lexmax3(
-                dw_, dx_, dy_, gdw[idx], gdx[idx], gdy[idx]
-            )
-            dw_, dx_, dy_ = _lexmax3(dw_, dx_, dy_, e1vw + mwC, e1vv, mvC)
-            dw_, dx_, dy_ = _lexmax3(dw_, dx_, dy_, e2vw + mwC, e2vv, mvC)
-            dw_, dx_, dy_ = _lexmax3(dw_, dx_, dy_, e1vw + e2vw, e1vv, e2vv)
-            n_kind[idx] = _K_BINARY
-            n_nb[idx] = 2
-            n_b0[idx] = uC
-            n_b1[idx] = wC
-            n_e1[idx] = eA
-            n_e2[idx] = eB
-            n_pw[idx] = np.where(take1, p1w, p2w)
-            n_pe[idx] = np.where(take1, p1e, p2e)
-            n_ps[idx] = p1s + p2s
-            n_pc[idx] = self._npc[eA] + self._npc[eB]
-            n_nm[idx] = 2
-            n_0w[idx] = m0w_
-            n_0v[idx] = m0v_
-            n_1w[idx] = m1w_
-            n_1v[idx] = m1v_
-            n_dw[idx] = dw_
-            n_dx[idx] = dx_
-            n_dy[idx] = dy_
-            n_sv[idx] = (gv[idx] + self._nsv[eA]) + self._nsv[eB]
-            n_se[idx] = (ge[idx] + self._nse[eA]) + self._nse[eB]
-            n_ss[idx] = (gs[idx] + self._nss[eA]) + self._nss[eB]
+            n_kind[cka] = _K_BINARY
+            n_nb[cka] = 2
+            n_b0[cka] = dal[cka]
+            n_b1[cka] = dbl[cka]
+            n_pw[cka] = np.where(take1, p1w, p2w)
+            n_pe[cka] = np.where(take1, p1e, p2e)
 
-        # Scatter the new rows.
+        # Scatter the new rows.  ``e1``/``e2`` (the oriented binary
+        # children) are not parent-visible: excluded from ``changed``.
         self._nk[nodes] = n_kind
         self._nnb[nodes] = n_nb
         self._nb0[nodes] = n_b0
         self._nb1[nodes] = n_b1
         self._npw[nodes] = n_pw
         self._npe[nodes] = n_pe
-        self._nps[nodes] = n_ps
-        self._npc[nodes] = n_pc
-        self._nsv[nodes] = n_sv
-        self._nse[nodes] = n_se
-        self._nss[nodes] = n_ss
-        self._nnm[nodes] = n_nm
-        self._n0w[nodes] = n_0w
-        self._n0v[nodes] = n_0v
-        self._n1w[nodes] = n_1w
-        self._n1v[nodes] = n_1v
-        self._ndw[nodes] = n_dw
-        self._ndx[nodes] = n_dx
-        self._ndy[nodes] = n_dy
-        self._ne1[nodes] = n_e1
-        self._ne2[nodes] = n_e2
+        self._ne1[nodes] = e1
+        self._ne2[nodes] = e2
         self._nlevel[nodes] = lvl
 
         # Children bookkeeping: guarded resets for dropped children first,
@@ -2002,20 +1853,11 @@ class RCArrayForest:
             | (o_b1 != n_b1)
             | (o_pw != n_pw)
             | (o_pe != n_pe)
-            | (o_ps != n_ps)
-            | (o_pc != n_pc)
-            | (o_sv != n_sv)
-            | (o_se != n_se)
-            | (o_ss != n_ss)
-            | (o_nm != n_nm)
-            | (o_0w != n_0w)
-            | (o_0v != n_0v)
-            | (o_1w != n_1w)
-            | (o_1v != n_1v)
-            | (o_dw != n_dw)
-            | (o_dx != n_dx)
-            | (o_dy != n_dy)
         )
+        if self._full:
+            changed |= self._aug_dense(
+                va, nodes, tags, dal, dbl, e1, e2, groups, kids_all
+            )
         ci = np.flatnonzero(changed)
         if ci.size:
             pn = npar[nodes[ci]]
@@ -2032,6 +1874,210 @@ class RCArrayForest:
                     pairs.append((m, t))
         return work
 
+    def _aug_dense(
+        self, va, nodes, tags, dal, dbl, e1, e2, groups, kids_all
+    ) -> np.ndarray:
+        """The ``full`` profile's columns for one level's dense rebuild:
+        folds the rake groups, writes the 13 columns of ``nodes`` and
+        returns the rows where any of them changed."""
+        n = va.size
+        single_k, sr, dbl_k, sr2a, sr2b, multi_k = groups
+        mw = np.zeros(n)
+        mv = va.copy()
+        gdw = np.zeros(n)
+        gdx = va.copy()
+        gdy = va.copy()
+        gv = np.ones(n, np.int64)
+        ge = np.zeros(n, np.int64)
+        gs = np.zeros(n)
+        for k in multi_k:
+            v = int(va[k])
+            rakers = kids_all[k][1 : 1 + len(self._rakes_on[v])]
+            (
+                mw[k],
+                mv[k],
+                gdw[k],
+                gdx[k],
+                gdy[k],
+                gv[k],
+                ge[k],
+                gs[k],
+            ) = self._rake_fold(v, rakers)
+
+        def fold_step(m1, m2, g1, g2, g3, sr):
+            # One vectorized ``_rake_fold`` iteration: same comparisons,
+            # same first-wins tie handling, same float association.
+            mdw = self._n0w[sr]
+            mdv = self._n0v[sr]
+            g1, g2, g3 = _lexmax3(
+                g1, g2, g3, self._ndw[sr], self._ndx[sr], self._ndy[sr]
+            )
+            g1, g2, g3 = _lexmax3(g1, g2, g3, m1 + mdw, m2, mdv)
+            m1, m2 = _lexmax2(m1, m2, mdw, mdv)
+            return m1, m2, g1, g2, g3
+
+        if single_k:
+            sk = np.asarray(single_k, np.intp)
+            vsk = va[sk]
+            zero = np.zeros(sk.size)
+            m1, m2, g1, g2, g3 = fold_step(zero, vsk, zero, vsk, vsk, sr)
+            mw[sk] = m1
+            mv[sk] = m2
+            gdw[sk] = g1
+            gdx[sk] = g2
+            gdy[sk] = g3
+            gv[sk] = 1 + self._nsv[sr]
+            ge[sk] = self._nse[sr]
+            gs[sk] = 0.0 + self._nss[sr]
+        if dbl_k:
+            dk = np.asarray(dbl_k, np.intp)
+            vdk = va[dk]
+            zero = np.zeros(dk.size)
+            m1, m2, g1, g2, g3 = fold_step(zero, vdk, zero, vdk, vdk, sr2a)
+            m1, m2, g1, g2, g3 = fold_step(m1, m2, g1, g2, g3, sr2b)
+            mw[dk] = m1
+            mv[dk] = m2
+            gdw[dk] = g1
+            gdx[dk] = g2
+            gdy[dk] = g3
+            gv[dk] = (1 + self._nsv[sr2a]) + self._nsv[sr2b]
+            ge[dk] = self._nse[sr2a] + self._nse[sr2b]
+            gs[dk] = (0.0 + self._nss[sr2a]) + self._nss[sr2b]
+
+        o_ps = self._nps[nodes]
+        o_pc = self._npc[nodes]
+        o_sv = self._nsv[nodes]
+        o_se = self._nse[nodes]
+        o_ss = self._nss[nodes]
+        o_nm = self._nnm[nodes]
+        o_0w = self._n0w[nodes]
+        o_0v = self._n0v[nodes]
+        o_1w = self._n1w[nodes]
+        o_1v = self._n1v[nodes]
+        o_dw = self._ndw[nodes]
+        o_dx = self._ndx[nodes]
+        o_dy = self._ndy[nodes]
+
+        # Defaults are the FINAL row (the rake group alone, no boundary
+        # distances); the RAKE/COMP branches overwrite the rows they own.
+        n_ps = np.zeros(n)
+        n_pc = np.zeros(n, np.int64)
+        n_sv = gv.copy()
+        n_se = ge.copy()
+        n_ss = gs.copy()
+        n_nm = np.zeros(n, np.int8)
+        n_0w = np.full(n, _NEG)
+        n_0v = np.full(n, -1, np.int64)
+        n_1w = np.full(n, _NEG)
+        n_1v = np.full(n, -1, np.int64)
+        n_dw = gdw.copy()
+        n_dx = gdx.copy()
+        n_dy = gdy.copy()
+
+        idx = np.flatnonzero(tags == _T_RAKE)
+        if idx.size:
+            eR = e1[idx]
+            uR = dal[idx]
+            iu0 = self._nb0[eR] == uR
+            euw = np.where(iu0, self._n0w[eR], self._n1w[eR])
+            euv = np.where(iu0, self._n0v[eR], self._n1v[eR])
+            evw = np.where(iu0, self._n1w[eR], self._n0w[eR])
+            evv = np.where(iu0, self._n1v[eR], self._n0v[eR])
+            mwR = mw[idx]
+            mvR = mv[idx]
+            m0w_, m0v_ = _lexmax2(euw, euv, self._nps[eR] + mwR, mvR)
+            dw_, dx_, dy_ = _lexmax3(
+                self._ndw[eR], self._ndx[eR], self._ndy[eR],
+                gdw[idx], gdx[idx], gdy[idx],
+            )
+            dw_, dx_, dy_ = _lexmax3(dw_, dx_, dy_, evw + mwR, evv, mvR)
+            n_nm[idx] = 1
+            n_0w[idx] = m0w_
+            n_0v[idx] = m0v_
+            n_dw[idx] = dw_
+            n_dx[idx] = dx_
+            n_dy[idx] = dy_
+            n_sv[idx] = gv[idx] + self._nsv[eR]
+            n_se[idx] = ge[idx] + self._nse[eR]
+            n_ss[idx] = gs[idx] + self._nss[eR]
+
+        idx = np.flatnonzero(tags == _T_COMP)
+        if idx.size:
+            eA = e1[idx]
+            eB = e2[idx]
+            uC = dal[idx]
+            wC = dbl[idx]
+            i1u0 = self._nb0[eA] == uC
+            e1uw = np.where(i1u0, self._n0w[eA], self._n1w[eA])
+            e1uv = np.where(i1u0, self._n0v[eA], self._n1v[eA])
+            e1vw = np.where(i1u0, self._n1w[eA], self._n0w[eA])
+            e1vv = np.where(i1u0, self._n1v[eA], self._n0v[eA])
+            i2w0 = self._nb0[eB] == wC
+            e2ww = np.where(i2w0, self._n0w[eB], self._n1w[eB])
+            e2wv = np.where(i2w0, self._n0v[eB], self._n1v[eB])
+            e2vw = np.where(i2w0, self._n1w[eB], self._n0w[eB])
+            e2vv = np.where(i2w0, self._n1v[eB], self._n0v[eB])
+            p1s = self._nps[eA]
+            p2s = self._nps[eB]
+            mwC = mw[idx]
+            mvC = mv[idx]
+            f1w, f1v = _lexmax2(mwC, mvC, e2vw, e2vv)
+            f2w, f2v = _lexmax2(mwC, mvC, e1vw, e1vv)
+            m0w_, m0v_ = _lexmax2(e1uw, e1uv, p1s + f1w, f1v)
+            m1w_, m1v_ = _lexmax2(e2ww, e2wv, p2s + f2w, f2v)
+            dw_, dx_, dy_ = _lexmax3(
+                self._ndw[eA], self._ndx[eA], self._ndy[eA],
+                self._ndw[eB], self._ndx[eB], self._ndy[eB],
+            )
+            dw_, dx_, dy_ = _lexmax3(
+                dw_, dx_, dy_, gdw[idx], gdx[idx], gdy[idx]
+            )
+            dw_, dx_, dy_ = _lexmax3(dw_, dx_, dy_, e1vw + mwC, e1vv, mvC)
+            dw_, dx_, dy_ = _lexmax3(dw_, dx_, dy_, e2vw + mwC, e2vv, mvC)
+            dw_, dx_, dy_ = _lexmax3(dw_, dx_, dy_, e1vw + e2vw, e1vv, e2vv)
+            n_ps[idx] = p1s + p2s
+            n_pc[idx] = self._npc[eA] + self._npc[eB]
+            n_nm[idx] = 2
+            n_0w[idx] = m0w_
+            n_0v[idx] = m0v_
+            n_1w[idx] = m1w_
+            n_1v[idx] = m1v_
+            n_dw[idx] = dw_
+            n_dx[idx] = dx_
+            n_dy[idx] = dy_
+            n_sv[idx] = (gv[idx] + self._nsv[eA]) + self._nsv[eB]
+            n_se[idx] = (ge[idx] + self._nse[eA]) + self._nse[eB]
+            n_ss[idx] = (gs[idx] + self._nss[eA]) + self._nss[eB]
+
+        self._nps[nodes] = n_ps
+        self._npc[nodes] = n_pc
+        self._nsv[nodes] = n_sv
+        self._nse[nodes] = n_se
+        self._nss[nodes] = n_ss
+        self._nnm[nodes] = n_nm
+        self._n0w[nodes] = n_0w
+        self._n0v[nodes] = n_0v
+        self._n1w[nodes] = n_1w
+        self._n1v[nodes] = n_1v
+        self._ndw[nodes] = n_dw
+        self._ndx[nodes] = n_dx
+        self._ndy[nodes] = n_dy
+        return (
+            (o_ps != n_ps)
+            | (o_pc != n_pc)
+            | (o_sv != n_sv)
+            | (o_se != n_se)
+            | (o_ss != n_ss)
+            | (o_nm != n_nm)
+            | (o_0w != n_0w)
+            | (o_0v != n_0v)
+            | (o_1w != n_1w)
+            | (o_1v != n_1v)
+            | (o_dw != n_dw)
+            | (o_dx != n_dx)
+            | (o_dy != n_dy)
+        )
+
     # ------------------------------------------------------------------
     # Compressed path trees (Algorithm 1 on the array state)
     # ------------------------------------------------------------------
@@ -2040,6 +2086,9 @@ class RCArrayForest:
         """Compressed path trees of every component containing a marked
         vertex; identical output, phases, and charges as running
         :func:`repro.trees.cpt.compressed_path_trees` on ``RCForest``.
+
+        Under ``augment="msf"`` edges carry only the heaviest ``(w,
+        eid)`` and ``aggregates`` is empty.
         """
         from repro.trees.cpt import CompressedPathTree, PathAggregate
 
@@ -2050,6 +2099,7 @@ class RCArrayForest:
 
         charge = cost if cost is not None else CostModel(enabled=False)
         npar = self._npar
+        full = self._full
 
         # Mark phase: early-stopping upward walks (Lemma 3.3 path sharing).
         # ``ddist`` memoises each marked cluster's distance to its root, so
@@ -2102,10 +2152,10 @@ class RCArrayForest:
 
         with charge.phase("cpt-expand") as ph:
             # The builder graph is a dict-of-dicts with plain-tuple
-            # ``(max_w, max_eid, total, count)`` annotations -- the same
-            # surgery sequence as ``cpt._GraphBuilder``/``cpt._prune``
-            # (identical final graph and float association), minus the
-            # object allocation.
+            # ``(max_w, max_eid, total, count)`` annotations (``(max_w,
+            # max_eid)`` under ``msf``) -- the same surgery sequence as
+            # ``cpt._GraphBuilder``/``cpt._prune`` (identical final graph
+            # and float association), minus the object allocation.
             adj: dict[int, dict[int, tuple]] = {v: {} for v in marked_set}
 
             # Vectorised prune classification: every marked cluster gets a
@@ -2190,20 +2240,19 @@ class RCArrayForest:
                 u_nb = self._nnb[ua].tolist()
                 u_b0 = self._nb0[ua].tolist()
                 u_b1 = self._nb1[ua].tolist()
-                u_agg = list(
-                    zip(
-                        self._npw[ua].tolist(),
-                        self._npe[ua].tolist(),
-                        self._nps[ua].tolist(),
-                        self._npc[ua].tolist(),
-                    )
-                )
+                cols = [self._npw[ua].tolist(), self._npe[ua].tolist()]
+                if full:
+                    cols += [self._nps[ua].tolist(), self._npc[ua].tolist()]
+                u_agg = list(zip(*cols))
 
             def splice(x: int) -> None:
                 (a, wa), (b, wb) = adj.pop(x).items()
                 del adj[a][x]
                 del adj[b][x]
-                if wa[0] > wb[0] or (wa[0] == wb[0] and wa[1] >= wb[1]):
+                take_a = wa[0] > wb[0] or (wa[0] == wb[0] and wa[1] >= wb[1])
+                if not full:
+                    agg = wa if take_a else wb
+                elif take_a:
                     agg = (wa[0], wa[1], wa[2] + wb[2], wa[3] + wb[3])
                 else:
                     agg = (wb[0], wb[1], wa[2] + wb[2], wa[3] + wb[3])
@@ -2265,6 +2314,8 @@ class RCArrayForest:
             for b, t in adj[a].items():
                 if a < b:
                     edges.append((a, b, t[0], t[1]))
+                    if not full:
+                        continue
                     # The frozen dataclass routes __init__ through four
                     # object.__setattr__ calls; writing the instance dict
                     # directly builds an identical object much faster.
@@ -2283,7 +2334,9 @@ class RCArrayForest:
 
     def snapshot(self) -> dict:
         """Canonical contraction snapshot, equal to ``RCForest``'s
-        ``snapshot()`` for the same (edge set, seed)."""
+        ``snapshot()`` for the same (edge set, seed, augmentation
+        profile).  Each cluster row holds only the fields its profile
+        maintains."""
         levels = []
         for i in range(len(self._Ld)):
             if self._Lnlive[i] == 0 and self._Lndec[i] == 0:
@@ -2327,16 +2380,19 @@ class RCArrayForest:
                 else:
                     kid_tags.append(("c", int(self._nrep[c])))
             sig = self._node_sig(n)
-            clusters[v] = (
+            row = (
                 _KIND_VALUE[sig[0]],
                 int(self._nlevel[n]),
                 sig[1],
                 (sig[2], sig[3]),
-                (sig[4], sig[5]),
-                (sig[6], sig[7], sig[8]),
-                (sig[9], sig[10]),
-                tuple(sorted(kid_tags)),
             )
+            if self._full:
+                row += (
+                    (sig[4], sig[5]),
+                    (sig[6], sig[7], sig[8]),
+                    (sig[9], sig[10]),
+                )
+            clusters[v] = row + (tuple(sorted(kid_tags)),)
         return {"levels": levels, "clusters": clusters}
 
     def rebuilt_copy(self) -> "RCArrayForest":
@@ -2345,6 +2401,7 @@ class RCArrayForest:
             vertices=np.flatnonzero(self._vl != -1).tolist(),
             seed=self.seed,
             compress_rule=self.compress_rule,
+            augment=self.augment,
         )
         links = [
             InternalLink(a, b, self._edge_attrs[eid][0], eid)
@@ -2389,12 +2446,16 @@ class RCArrayForest:
                 assert int(self._npar[c]) == n, f"broken parent under comp[{v}]"
             kinds = [int(self._nk[c]) for c in kids]
             assert kinds.count(_K_VERTEX) == 1
-            assert int(self._nsv[n]) == sum(int(self._nsv[c]) for c in kids)
-            assert int(self._nse[n]) == sum(int(self._nse[c]) for c in kids)
-            assert (
-                abs(float(self._nss[n]) - sum(float(self._nss[c]) for c in kids))
-                < 1e-9
-            )
+            if self._full:
+                assert int(self._nsv[n]) == sum(int(self._nsv[c]) for c in kids)
+                assert int(self._nse[n]) == sum(int(self._nse[c]) for c in kids)
+                assert (
+                    abs(
+                        float(self._nss[n])
+                        - sum(float(self._nss[c]) for c in kids)
+                    )
+                    < 1e-9
+                )
             if int(self._nk[n]) == _K_BINARY:
                 bins = [c for c in kids if int(self._nk[c]) in (_K_EDGE, _K_BINARY)]
                 assert len(bins) == 2
@@ -2402,7 +2463,10 @@ class RCArrayForest:
                     (float(self._npw[c]), int(self._npe[c])) for c in bins
                 )
                 assert (float(self._npw[n]), int(self._npe[n])) == expect
-                assert int(self._npc[n]) == sum(int(self._npc[c]) for c in bins)
+                if self._full:
+                    assert int(self._npc[n]) == sum(
+                        int(self._npc[c]) for c in bins
+                    )
 
         # Roots are nullary.
         for v in registered:

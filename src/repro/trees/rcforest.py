@@ -32,6 +32,9 @@ vertex: ``comp[v]`` is formed when ``v`` contracts and contains the vertex
 leaf of ``v``, the edge clusters its contraction consumed, and the unary
 clusters of vertices that previously raked into ``v``.  Binary clusters are
 augmented with the heaviest ``(weight, edge id)`` on their cluster path.
+The ``full`` augmentation profile adds path sums, subtree totals and
+distance augmentation; ``msf`` maintains only kind, boundary and path max
+(:data:`repro.trees.cluster.AUGMENT_PROFILES`).
 """
 
 from __future__ import annotations
@@ -42,7 +45,12 @@ from typing import Iterable
 from repro.runtime.cost import CostModel, log2ceil
 from repro.runtime.hashing import HashBits
 from repro.trees import batchquery
-from repro.trees.cluster import ClusterKind, ClusterNode
+from repro.trees.cluster import (
+    ClusterKind,
+    ClusterNode,
+    check_augment,
+    require_full,
+)
 from repro.trees.ternary import InternalLink
 
 # Decision tags.
@@ -110,9 +118,16 @@ class _ObjectAdapter:
         return n.path_eid
 
 
+def _msf_signature(node: ClusterNode) -> tuple:
+    """What a parent cluster reads from a child under ``augment="msf"``:
+    kind, boundary and path max.  A change here must propagate."""
+    return (node.kind, node.boundary, node.path_w, node.path_eid)
+
+
 def _aug_signature(node: ClusterNode) -> tuple:
-    """Everything a parent cluster reads from a child: boundary-visible
-    shape plus every augmented value.  A change here must propagate."""
+    """Everything a parent cluster reads from a child under
+    ``augment="full"``: boundary-visible shape plus every augmented value.
+    A change here must propagate."""
     return (
         node.kind,
         node.boundary,
@@ -126,6 +141,80 @@ def _aug_signature(node: ClusterNode) -> tuple:
         node.maxd,
         node.diam,
     )
+
+
+def _augment_full(
+    node: ClusterNode, v: int, children: list[ClusterNode], group: int
+) -> None:
+    """The ``full`` profile's fields of a rebuilt cluster, after its kind
+    and boundary are set: ``children[:group]`` is the rake group (vertex
+    leaf of ``v``, then the raked unary clusters), ``children[group:]``
+    the consumed edges."""
+    # All rake-group members attach at v, so pairwise distances factor
+    # through v.
+    m_v = (0.0, v)  # farthest (distance, vertex) from v within the group
+    gdiam = (0.0, v, v)  # in-group diameter with endpoints
+    g_verts, g_edges, g_sum = 1, 0, 0.0
+    for r in children[1:group]:
+        md = r.maxd[0]
+        gdiam = max(gdiam, r.diam, (m_v[0] + md[0], m_v[1], md[1]))
+        m_v = max(m_v, md)
+        g_verts += r.sub_verts
+        g_edges += r.sub_edges
+        g_sum += r.sub_sum
+
+    if node.kind is ClusterKind.UNARY:
+        (u,) = node.boundary
+        e = children[group]
+        iu = e.boundary.index(u)
+        iv = 1 - iu
+        node.path_sum, node.path_count = 0.0, 0
+        node.maxd = (max(e.maxd[iu], (e.path_sum + m_v[0], m_v[1])),)
+        node.diam = max(
+            e.diam,
+            gdiam,
+            (e.maxd[iv][0] + m_v[0], e.maxd[iv][1], m_v[1]),
+        )
+        node.sub_verts = g_verts + e.sub_verts
+        node.sub_edges = g_edges + e.sub_edges
+        node.sub_sum = g_sum + e.sub_sum
+    elif node.kind is ClusterKind.BINARY:
+        u, w = node.boundary
+        e1, e2 = children[group], children[group + 1]
+        i1u = e1.boundary.index(u)
+        i1v = 1 - i1u
+        i2w = e2.boundary.index(w)
+        i2v = 1 - i2w
+        node.path_sum = e1.path_sum + e2.path_sum
+        node.path_count = e1.path_count + e2.path_count
+        from_v1 = max(m_v, e2.maxd[i2v])
+        from_v2 = max(m_v, e1.maxd[i1v])
+        node.maxd = (
+            max(e1.maxd[i1u], (e1.path_sum + from_v1[0], from_v1[1])),
+            max(e2.maxd[i2w], (e2.path_sum + from_v2[0], from_v2[1])),
+        )
+        node.diam = max(
+            e1.diam,
+            e2.diam,
+            gdiam,
+            (e1.maxd[i1v][0] + m_v[0], e1.maxd[i1v][1], m_v[1]),
+            (e2.maxd[i2v][0] + m_v[0], e2.maxd[i2v][1], m_v[1]),
+            (
+                e1.maxd[i1v][0] + e2.maxd[i2v][0],
+                e1.maxd[i1v][1],
+                e2.maxd[i2v][1],
+            ),
+        )
+        node.sub_verts = g_verts + e1.sub_verts + e2.sub_verts
+        node.sub_edges = g_edges + e1.sub_edges + e2.sub_edges
+        node.sub_sum = g_sum + e1.sub_sum + e2.sub_sum
+    else:
+        node.path_sum, node.path_count = 0.0, 0
+        node.maxd = ()
+        node.diam = gdiam
+        node.sub_verts = g_verts
+        node.sub_edges = g_edges
+        node.sub_sum = g_sum
 
 
 class RCForest:
@@ -144,12 +233,17 @@ class RCForest:
         seed: int = 0x5EED,
         cost: CostModel | None = None,
         compress_rule: str = "mr",
+        augment: str = "full",
     ) -> None:
         if compress_rule not in ("mr", "ordered"):
             raise ValueError(
                 f"compress_rule must be 'mr' or 'ordered', got {compress_rule!r}"
             )
+        check_augment(augment)
         self.compress_rule = compress_rule
+        self.augment = augment
+        self._full = augment == "full"
+        self._signature = _aug_signature if self._full else _msf_signature
         self.cost = cost if cost is not None else CostModel(enabled=False)
         self._bits = HashBits(seed)
         self._adj: list[dict[int, set[int]]] = [{}]
@@ -182,8 +276,9 @@ class RCForest:
     def _register(self, v: int) -> None:
         if v not in self.vleaf:
             leaf = ClusterNode(ClusterKind.VERTEX, rep=v)
-            leaf.sub_verts = 1
-            leaf.diam = (0.0, v, v)
+            if self._full:
+                leaf.sub_verts = 1
+                leaf.diam = (0.0, v, v)
             self.vleaf[v] = leaf
             self._adj[0][v] = set()
             self._rakes_on[v] = {}
@@ -307,9 +402,11 @@ class RCForest:
             raise KeyError(v)
 
     def component_summary(self, v: int):
-        """Root-cluster aggregates of ``v``'s component, engine-neutral."""
+        """Root-cluster aggregates of ``v``'s component, engine-neutral
+        (needs ``augment="full"``)."""
         from repro.trees.rcarray import ComponentSummary
 
+        require_full(self.augment, "component_summary")
         root = self.root_cluster(v)
         return ComponentSummary(
             root.sub_verts, root.sub_edges, root.sub_sum, root.diam
@@ -405,8 +502,10 @@ class RCForest:
             leaf.boundary = (a, b)
             leaf.path_w = link.w
             leaf.path_eid = eid
-            leaf.maxd = ((float("-inf"), -1), (float("-inf"), -1))
-            if eid >= 0:  # virtual ternarization links carry no real length
+            if self._full:
+                leaf.maxd = ((float("-inf"), -1), (float("-inf"), -1))
+            if self._full and eid >= 0:
+                # Virtual ternarization links carry no real length.
                 leaf.path_sum = link.w
                 leaf.path_count = 1
                 leaf.sub_edges = 1
@@ -624,97 +723,40 @@ class RCForest:
         if node is None:
             node = ClusterNode(ClusterKind.BINARY, rep=v)
             self.comp[v] = node
-        old_sig = _aug_signature(node)
+        old_sig = self._signature(node)
         old_children = node.children
 
-        # The rake group around v: the vertex leaf (distance 0 from v) plus
-        # every unary cluster previously raked onto v.  All members attach
-        # at v, so pairwise distances factor through v.
+        # The rake group around v: the vertex leaf plus every unary
+        # cluster previously raked onto v.
         children: list[ClusterNode] = [self.vleaf[v]]
-        m_v = (0.0, v)  # farthest (distance, vertex) from v within the group
-        gdiam = (0.0, v, v)  # in-group diameter with endpoints
-        g_verts, g_edges, g_sum = 1, 0, 0.0
-        for w in sorted(self._rakes_on[v]):
-            r = self.comp[w]
-            children.append(r)
-            md = r.maxd[0]
-            gdiam = max(gdiam, r.diam, (m_v[0] + md[0], m_v[1], md[1]))
-            m_v = max(m_v, md)
-            g_verts += r.sub_verts
-            g_edges += r.sub_edges
-            g_sum += r.sub_sum
+        children.extend(self.comp[w] for w in sorted(self._rakes_on[v]))
+        group = len(children)
 
         if d[0] == "R":
             u = d[1]
             e = self._edge_cluster[_pair(v, u)][0]
-            consumed = [e]
-            iu = e.boundary.index(u)
-            iv = 1 - iu
+            children.append(e)
             node.kind = ClusterKind.UNARY
             node.boundary = (u,)
             node.path_w, node.path_eid = float("-inf"), -1
-            node.path_sum, node.path_count = 0.0, 0
-            node.maxd = (
-                max(e.maxd[iu], (e.path_sum + m_v[0], m_v[1])),
-            )
-            node.diam = max(
-                e.diam,
-                gdiam,
-                (e.maxd[iv][0] + m_v[0], e.maxd[iv][1], m_v[1]),
-            )
-            node.sub_verts = g_verts + e.sub_verts
-            node.sub_edges = g_edges + e.sub_edges
-            node.sub_sum = g_sum + e.sub_sum
         elif d[0] == "C":
             u, w = d[1], d[2]
             e1 = self._edge_cluster[_pair(u, v)][0]
             e2 = self._edge_cluster[_pair(v, w)][0]
-            consumed = [e1, e2]
-            i1u = e1.boundary.index(u)
-            i1v = 1 - i1u
-            i2w = e2.boundary.index(w)
-            i2v = 1 - i2w
+            children.append(e1)
+            children.append(e2)
             node.kind = ClusterKind.BINARY
             node.boundary = (u, w)
             if (e1.path_w, e1.path_eid) >= (e2.path_w, e2.path_eid):
                 node.path_w, node.path_eid = e1.path_w, e1.path_eid
             else:
                 node.path_w, node.path_eid = e2.path_w, e2.path_eid
-            node.path_sum = e1.path_sum + e2.path_sum
-            node.path_count = e1.path_count + e2.path_count
-            from_v1 = max(m_v, e2.maxd[i2v])
-            from_v2 = max(m_v, e1.maxd[i1v])
-            node.maxd = (
-                max(e1.maxd[i1u], (e1.path_sum + from_v1[0], from_v1[1])),
-                max(e2.maxd[i2w], (e2.path_sum + from_v2[0], from_v2[1])),
-            )
-            node.diam = max(
-                e1.diam,
-                e2.diam,
-                gdiam,
-                (e1.maxd[i1v][0] + m_v[0], e1.maxd[i1v][1], m_v[1]),
-                (e2.maxd[i2v][0] + m_v[0], e2.maxd[i2v][1], m_v[1]),
-                (
-                    e1.maxd[i1v][0] + e2.maxd[i2v][0],
-                    e1.maxd[i1v][1],
-                    e2.maxd[i2v][1],
-                ),
-            )
-            node.sub_verts = g_verts + e1.sub_verts + e2.sub_verts
-            node.sub_edges = g_edges + e1.sub_edges + e2.sub_edges
-            node.sub_sum = g_sum + e1.sub_sum + e2.sub_sum
         else:  # finalize: the whole component has raked onto v
-            consumed = []
             node.kind = ClusterKind.NULLARY
             node.boundary = ()
             node.path_w, node.path_eid = float("-inf"), -1
-            node.path_sum, node.path_count = 0.0, 0
-            node.maxd = ()
-            node.diam = gdiam
-            node.sub_verts = g_verts
-            node.sub_edges = g_edges
-            node.sub_sum = g_sum
-        children.extend(consumed)
+        if self._full:
+            _augment_full(node, v, children, group)
         node.level = i
         node.children = children
         for c in old_children:
@@ -724,7 +766,7 @@ class RCForest:
             c.parent = node
 
         self.cost.add(work=len(children))
-        if _aug_signature(node) != old_sig:
+        if self._signature(node) != old_sig:
             if node.parent is not None:
                 self._mark_rebuild(node.parent.rep)
 
@@ -737,7 +779,9 @@ class RCForest:
 
         Two forests with the same seed and the same live edge set must have
         equal snapshots regardless of the update history -- the key property
-        the test suite checks (propagation is equivalent to rebuild).
+        the test suite checks (propagation is equivalent to rebuild).  Each
+        cluster row holds only the fields the augmentation profile
+        maintains.
         """
         levels = []
         for i in range(len(self._adj)):
@@ -762,16 +806,19 @@ class RCForest:
                     kids.append(("e", c.eid))
                 else:
                     kids.append(("c", c.rep))
-            clusters[v] = (
+            row = (
                 node.kind.value,
                 node.level,
                 node.boundary,
                 (node.path_w, node.path_eid),
-                (node.path_sum, node.path_count),
-                (node.sub_verts, node.sub_edges, node.sub_sum),
-                (node.maxd, node.diam),
-                tuple(sorted(kids)),
             )
+            if self._full:
+                row += (
+                    (node.path_sum, node.path_count),
+                    (node.sub_verts, node.sub_edges, node.sub_sum),
+                    (node.maxd, node.diam),
+                )
+            clusters[v] = row + (tuple(sorted(kids)),)
         return {"levels": levels, "clusters": clusters}
 
     def rebuilt_copy(self) -> "RCForest":
@@ -780,6 +827,7 @@ class RCForest:
             vertices=list(self.vleaf),
             seed=self._bits.seed,
             compress_rule=self.compress_rule,
+            augment=self.augment,
         )
         links = [
             InternalLink(a, b, self._edge_attrs[eid][0], eid)
@@ -820,15 +868,18 @@ class RCForest:
                 assert c.parent is node, f"broken parent under comp[{v}]"
             kinds = [c.kind for c in node.children]
             assert kinds.count(ClusterKind.VERTEX) == 1
-            assert node.sub_verts == sum(c.sub_verts for c in node.children)
-            assert node.sub_edges == sum(c.sub_edges for c in node.children)
-            assert abs(node.sub_sum - sum(c.sub_sum for c in node.children)) < 1e-9
+            if self._full:
+                kids = node.children
+                assert node.sub_verts == sum(c.sub_verts for c in kids)
+                assert node.sub_edges == sum(c.sub_edges for c in kids)
+                assert abs(node.sub_sum - sum(c.sub_sum for c in kids)) < 1e-9
             if node.kind is ClusterKind.BINARY:
                 bins = [c for c in node.children if c.is_binary()]
                 assert len(bins) == 2
                 expect = max((c.path_w, c.path_eid) for c in bins)
                 assert (node.path_w, node.path_eid) == expect
-                assert node.path_count == sum(c.path_count for c in bins)
+                if self._full:
+                    assert node.path_count == sum(c.path_count for c in bins)
 
         # Roots are nullary.
         for v in self.vleaf:

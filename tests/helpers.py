@@ -9,7 +9,7 @@ import networkx as nx
 import numpy as np
 
 from repro.msf.graph import EdgeArray
-from repro.trees import DynamicForest, RCForest
+from repro.trees import DynamicForest, RCArrayForest, RCForest
 
 
 def with_reference_rc(forest: DynamicForest) -> DynamicForest:
@@ -25,11 +25,47 @@ def with_reference_rc(forest: DynamicForest) -> DynamicForest:
     rc = forest.rc
     assert forest.num_edges == 0 and rc.num_vertices == forest.n
     ref = RCForest(
-        vertices=range(forest.n), seed=rc.seed, compress_rule=rc.compress_rule
+        vertices=range(forest.n),
+        seed=rc.seed,
+        compress_rule=rc.compress_rule,
+        augment=rc.augment,
     )
     ref.cost = rc.cost
     forest.rc = ref
     return forest
+
+
+def with_augment(forest: DynamicForest, augment: str) -> DynamicForest:
+    """Rebuild ``forest.rc`` under another augmentation profile.
+
+    Lets a test run Algorithm 2 (whose ``BatchIncrementalMSF`` always
+    builds ``msf``) on a ``full`` forest.  Must run before the first
+    update; like :func:`with_reference_rc` the replacement is built
+    uncharged and then handed the forest's cost model (an empty forest's
+    build charges the same under both profiles).  Returns ``forest``.
+    """
+    rc = forest.rc
+    assert forest.num_edges == 0 and rc.num_vertices == forest.n
+    other = RCArrayForest(
+        vertices=range(forest.n),
+        seed=rc.seed,
+        compress_rule=rc.compress_rule,
+        augment=augment,
+    )
+    other.cost = rc.cost
+    forest.rc = other
+    return forest
+
+
+def msf_fields(snapshot: dict) -> dict:
+    """A ``snapshot()`` restricted to the ``msf`` profile's fields: each
+    cluster row keeps kind, level, boundary, path max and children."""
+    return {
+        "levels": snapshot["levels"],
+        "clusters": {
+            v: row[:4] + row[-1:] for v, row in snapshot["clusters"].items()
+        },
+    }
 
 
 def random_edge_array(

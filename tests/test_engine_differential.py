@@ -13,7 +13,9 @@ The same cases also pin the array engine's scalar/dense crossover: extra
 copies with ``DENSE_THRESHOLD`` forced to 0 (every pass vectorized) and
 to ``10**9`` (every pass scalar) must match the default-threshold engine
 and the reference in ``snapshot()``, MSF edge ids, CPTs and per-op
-(work, span).
+(work, span).  Every case runs under both augmentation profiles
+(``msf`` and ``full``), and :class:`TestProfileDifferential` holds the
+two profiles against each other on one stream.
 
 Seeded determinism rides along: a (stream, seed) pair must reproduce
 byte-identical MSF edge ids and phase trees on both across independent
@@ -25,6 +27,7 @@ Algorithm 2), which a differential between them cannot see.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -36,7 +39,8 @@ from repro.msf.graph import EdgeArray
 from repro.msf.kruskal import kruskal_msf
 from repro.runtime import CostModel, measure
 from repro.trees import DynamicForest, RCArrayForest, RCForest
-from tests.helpers import with_reference_rc
+from repro.trees.cluster import AUGMENT_PROFILES
+from tests.helpers import msf_fields, with_augment, with_reference_rc
 
 # Small vertex counts + a coarse weight pool force collisions: parallel
 # edges, weight ties (broken by eid), repeated endpoints, self-loops.
@@ -56,21 +60,29 @@ _QUERY_PAIRS = [
 _THRESHOLDS = (0, 10**9)
 
 
-def _build_pair(n=N, seed=5):
+def _msf(n, seed, cost, augment):
+    """An MSF whose forest runs the ``augment`` profile."""
+    m = BatchIncrementalMSF(n, seed=seed, cost=cost)
+    if augment != m.forest.augment:
+        with_augment(m.forest, augment)
+    return m
+
+
+def _build_pair(n=N, seed=5, augment="msf"):
     """Fresh (reference, array) MSF pair sharing nothing but the seed."""
     co, ca = CostModel(), CostModel()
-    mo = BatchIncrementalMSF(n, seed=seed, cost=co)
+    mo = _msf(n, seed, co, augment)
     with_reference_rc(mo.forest)
-    ma = BatchIncrementalMSF(n, seed=seed, cost=ca)
+    ma = _msf(n, seed, ca, augment)
     return mo, ma, co, ca
 
 
-def _build_pinned(n=N, seed=5):
+def _build_pinned(n=N, seed=5, augment="msf"):
     """Array MSFs with the scalar/dense crossover forced each way."""
     pinned = []
     for threshold in _THRESHOLDS:
         cost = CostModel()
-        m = BatchIncrementalMSF(n, seed=seed, cost=cost)
+        m = _msf(n, seed, cost, augment)
         m.forest.rc.DENSE_THRESHOLD = threshold
         pinned.append((m, cost))
     return pinned
@@ -88,8 +100,13 @@ class TestBatchMSFDifferential:
     @given(batches=_BATCHES)
     @settings(deadline=None)
     def test_engines_agree_on_everything(self, batches):
-        mo, ma, co, ca = _build_pair()
-        pinned = _build_pinned()
+        for augment in AUGMENT_PROFILES:
+            self._engines_agree(batches, augment)
+
+    @staticmethod
+    def _engines_agree(batches, augment):
+        mo, ma, co, ca = _build_pair(augment=augment)
+        pinned = _build_pinned(augment=augment)
         all_edges = []
         next_eid = 0
         for batch in batches:
@@ -158,11 +175,16 @@ class TestCPTDifferential:
     )
     @settings(deadline=None)
     def test_compressed_path_trees_identical(self, batches, marks, seed):
-        fo = with_reference_rc(DynamicForest(N, seed=seed))
-        fa = DynamicForest(N, seed=seed)
+        for augment in AUGMENT_PROFILES:
+            self._cpts_identical(batches, marks, seed, augment)
+
+    @staticmethod
+    def _cpts_identical(batches, marks, seed, augment):
+        fo = with_reference_rc(DynamicForest(N, seed=seed, augment=augment))
+        fa = DynamicForest(N, seed=seed, augment=augment)
         pinned = []
         for threshold in _THRESHOLDS:
-            f = DynamicForest(N, seed=seed)
+            f = DynamicForest(N, seed=seed, augment=augment)
             f.rc.DENSE_THRESHOLD = threshold
             pinned.append(f)
         # Union-find over accepted edges keeps every batch a forest batch
@@ -236,10 +258,11 @@ def _stream(seed):
     return batches
 
 
-def _run_stream(seed, reference=False):
-    """Run :func:`_stream` through a fresh MSF; returns it and its cost."""
+def _run_stream(seed, reference=False, augment="msf"):
+    """Run :func:`_stream` through a fresh MSF whose forest runs the
+    ``augment`` profile; returns it and its cost."""
     cost = CostModel()
-    m = BatchIncrementalMSF(24, seed=seed, cost=cost)
+    m = _msf(24, seed, cost, augment)
     if reference:
         with_reference_rc(m.forest)
     for batch in _stream(seed):
@@ -251,8 +274,10 @@ class TestSeededDeterminism:
     """Same stream + same seed => byte-identical results, run to run."""
 
     @staticmethod
-    def _run(engine, seed):
-        m, cost = _run_stream(seed, reference=engine == "object")
+    def _run(engine, seed, augment):
+        m, cost = _run_stream(
+            seed, reference=engine == "object", augment=augment
+        )
         msf_ids = bytes(
             json.dumps([e[3] for e in m.msf_edges()]), "utf-8"
         )
@@ -262,9 +287,9 @@ class TestSeededDeterminism:
         return msf_ids, phase_tree
 
     def test_byte_identical_across_runs_and_engines(self):
-        for seed in (0, 7, 2024):
+        for seed, augment in itertools.product((0, 7, 2024), AUGMENT_PROFILES):
             runs = {
-                engine: [self._run(engine, seed) for _ in range(2)]
+                engine: [self._run(engine, seed, augment) for _ in range(2)]
                 for engine in ("object", "array")
             }
             # Two independent runs of the same engine: byte-identical MSF
@@ -284,36 +309,113 @@ def _sha256(obj) -> str:
     ).hexdigest()
 
 
-#: seed -> (MSF edge ids, sha256 of rc.snapshot(), sha256 of the phase
-#: tree without wall time) for :func:`_stream`.  Regenerate only for a
-#: deliberate change to the contraction, its cost charges or Algorithm 2.
+#: profile -> seed -> (MSF edge ids, sha256 of rc.snapshot(), sha256 of
+#: the phase tree without wall time) for :func:`_stream`.  The ``full``
+#: rows predate the ``msf`` profile; the ``msf`` rows have the same MSF
+#: and a narrower snapshot, and charge less work (fewer rebuilds).
+#: Regenerate only for a deliberate change to the contraction, its cost
+#: charges or Algorithm 2.
 GOLDEN = {
-    0: (
-        [0, 2, 3, 4, 5, 6, 7, 10, 13, 14, 17, 18, 20, 21, 26, 27, 29, 32, 34],
-        "a70b1f8c5868f47e512e2434a7183318ac73f6b45de0ece8874844cd3cb5f9c4",
-        "a3fec400fc63ef16e44b4cf44c110f4ce1d78c40b4fead9f690503243f0531b3",
-    ),
-    7: (
-        [0, 1, 2, 3, 5, 6, 7, 8, 9, 12, 13, 14, 18, 19, 22, 23, 24, 28, 30, 31],
-        "43682ffbf7f3610ab51d9074b8e3b44d462d801c80c1810afdd3f9c9216f77c9",
-        "da4ddbefa0d980ba1209a08c1a2ca42bd75b1f99c5b401f88d19f8a42d2384ad",
-    ),
-    2024: (
-        [5, 6, 7, 8, 10, 14, 15, 16, 17, 18, 22, 25, 26, 27, 28, 29, 32, 34,
-         38, 40, 41, 43],
-        "b416a0766f2b7fed9648ae5350b1d81ee3753e53f63b5acf4d18d6f57c274db5",
-        "859e380daf8a0b0ffc46a9df596a1208c8522748ba01189dc00c8a3af2193f15",
-    ),
+    "full": {
+        0: (
+            [0, 2, 3, 4, 5, 6, 7, 10, 13, 14, 17, 18, 20, 21, 26, 27, 29, 32,
+             34],
+            "a70b1f8c5868f47e512e2434a7183318ac73f6b45de0ece8874844cd3cb5f9c4",
+            "a3fec400fc63ef16e44b4cf44c110f4ce1d78c40b4fead9f690503243f0531b3",
+        ),
+        7: (
+            [0, 1, 2, 3, 5, 6, 7, 8, 9, 12, 13, 14, 18, 19, 22, 23, 24, 28,
+             30, 31],
+            "43682ffbf7f3610ab51d9074b8e3b44d462d801c80c1810afdd3f9c9216f77c9",
+            "da4ddbefa0d980ba1209a08c1a2ca42bd75b1f99c5b401f88d19f8a42d2384ad",
+        ),
+        2024: (
+            [5, 6, 7, 8, 10, 14, 15, 16, 17, 18, 22, 25, 26, 27, 28, 29, 32,
+             34, 38, 40, 41, 43],
+            "b416a0766f2b7fed9648ae5350b1d81ee3753e53f63b5acf4d18d6f57c274db5",
+            "859e380daf8a0b0ffc46a9df596a1208c8522748ba01189dc00c8a3af2193f15",
+        ),
+    },
+    "msf": {
+        0: (
+            [0, 2, 3, 4, 5, 6, 7, 10, 13, 14, 17, 18, 20, 21, 26, 27, 29, 32,
+             34],
+            "8db35b5fd9a7bb0266f3345f115a9b065891e59b2f04a559f94fecd538597305",
+            "50ae2e894d1abfc1cf5a4df9e1666b6c67940e02fab3448e506d6c0b37351e57",
+        ),
+        7: (
+            [0, 1, 2, 3, 5, 6, 7, 8, 9, 12, 13, 14, 18, 19, 22, 23, 24, 28,
+             30, 31],
+            "24b4cad38af43153248603dd94b06fad894127c1a68e58b5b327c17352224ea4",
+            "d23a08073553a0419d7ff309fc876084ce6ccba927867500ac5e9334196ff9eb",
+        ),
+        2024: (
+            [5, 6, 7, 8, 10, 14, 15, 16, 17, 18, 22, 25, 26, 27, 28, 29, 32,
+             34, 38, 40, 41, 43],
+            "7fb10f6b2d7115ec33b0744d0ace52419a065f1922285de7ac92ce5b98671724",
+            "347cb5f8b4efb67500ae0fe981d0108a7bd52cf37bad916d6010a0075a3d30da",
+        ),
+    },
 }
 
 
 class TestGoldenFingerprints:
     def test_seeded_streams_match_golden(self):
-        for seed, want in GOLDEN.items():
-            m, cost = _run_stream(seed)
-            got = (
-                [e[3] for e in m.msf_edges()],
-                _sha256(m.forest.rc.snapshot()),
-                _sha256(_strip_wall(cost.phases.to_dict())),
+        for augment, rows in GOLDEN.items():
+            for seed, want in rows.items():
+                m, cost = _run_stream(seed, augment=augment)
+                got = (
+                    [e[3] for e in m.msf_edges()],
+                    _sha256(m.forest.rc.snapshot()),
+                    _sha256(_strip_wall(cost.phases.to_dict())),
+                )
+                assert got == want, (augment, seed, got)
+
+
+class TestProfileDifferential:
+    """The ``msf`` profile against ``full`` on one stream: everything the
+    ``msf`` profile maintains must agree, field for field."""
+
+    @given(
+        batches=_BATCHES,
+        marks=st.lists(_VERTS, min_size=1, max_size=6),
+        seed=st.integers(0, 50),
+    )
+    @settings(deadline=None)
+    def test_msf_profile_matches_full(self, batches, marks, seed):
+        mm = _msf(N, seed, CostModel(), "msf")
+        mf = _msf(N, seed, CostModel(), "full")
+        assert (mm.forest.rc.augment, mf.forest.rc.augment) == ("msf", "full")
+        pairs = [(u, v) for u in range(N) for v in range(N)]
+        next_eid = 0
+        for batch in batches:
+            rows = []
+            for u, v, w in batch:
+                rows.append((u, v, w, next_eid))
+                next_eid += 1
+            rep_m = mm.batch_insert(rows)
+            rep_f = mf.batch_insert(rows)
+            assert (rep_m.inserted, rep_m.evicted, rep_m.rejected) == (
+                rep_f.inserted,
+                rep_f.evicted,
+                rep_f.rejected,
             )
-            assert got == want, (seed, got)
+            assert [e[3] for e in mm.msf_edges()] == [
+                e[3] for e in mf.msf_edges()
+            ]
+            assert mm.batch_heaviest_edges(pairs) == mf.batch_heaviest_edges(
+                pairs
+            )
+            assert mm.batch_connected(pairs) == mf.batch_connected(pairs)
+            cpt_m = mm.forest.compressed_path_tree(marks)
+            cpt_f = mf.forest.compressed_path_tree(marks)
+            assert (cpt_m.vertices, cpt_m.edges) == (
+                cpt_f.vertices,
+                cpt_f.edges,
+            )
+            assert cpt_m.aggregates == []
+            snap_m = mm.forest.rc.snapshot()
+            assert snap_m == msf_fields(snap_m)
+            assert snap_m == msf_fields(mf.forest.rc.snapshot())
+            mm.forest.rc.check_invariants()
+            mf.forest.rc.check_invariants()

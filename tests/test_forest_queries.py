@@ -284,3 +284,104 @@ class TestLevelStatistics:
             # every few rounds.
             for i in range(0, len(stats) - 4, 4):
                 assert stats[i + 4] < stats[i]
+
+
+class TestMsfProfile:
+    """An ``augment="msf"`` forest keeps kind, boundary and path max only:
+    every query that needs more raises instead of reading stale columns."""
+
+    @pytest.fixture()
+    def forest(self):
+        f = DynamicForest(6, seed=3, augment="msf")
+        f.batch_link([(0, 1, 2.0, 0), (1, 2, 5.0, 1), (2, 3, 1.0, 2), (4, 5, 7.0, 3)])
+        return f
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda f: f.path_aggregate(0, 3),
+            lambda f: f.path_sum(0, 3),
+            lambda f: f.path_length(0, 3),
+            lambda f: f.component_size(0),
+            lambda f: f.component_edge_count(0),
+            lambda f: f.component_weight(0),
+            lambda f: f.component_diameter(0),
+            lambda f: f.component_diameter_endpoints(0),
+            lambda f: f.split_aggregates(1),
+            lambda f: f.eccentricity(0),
+            lambda f: f.farthest_vertex(0),
+            lambda f: f.rc.component_summary(0),
+        ],
+        ids=[
+            "path_aggregate",
+            "path_sum",
+            "path_length",
+            "component_size",
+            "component_edge_count",
+            "component_weight",
+            "component_diameter",
+            "component_diameter_endpoints",
+            "split_aggregates",
+            "eccentricity",
+            "farthest_vertex",
+            "rc_component_summary",
+        ],
+    )
+    def test_full_only_query_raises(self, forest, query):
+        before = forest.rc.snapshot()
+        with pytest.raises(ValueError, match="augment='full'"):
+            query(forest)
+        assert forest.rc.snapshot() == before  # nothing cut or relinked
+
+    def test_reference_component_summary_raises(self):
+        from repro.trees.rcforest import RCForest
+
+        with pytest.raises(ValueError, match="augment='full'"):
+            RCForest(range(3), augment="msf").component_summary(0)
+
+    def test_path_max_and_cpt_edges_still_answer(self, forest):
+        full = DynamicForest(6, seed=3)
+        full.batch_link([(0, 1, 2.0, 0), (1, 2, 5.0, 1), (2, 3, 1.0, 2), (4, 5, 7.0, 3)])
+        for u in range(6):
+            for v in range(6):
+                assert forest.path_max(u, v) == full.path_max(u, v)
+        cpt = forest.compressed_path_tree([0, 3, 4])
+        ref = full.compressed_path_tree([0, 3, 4])
+        assert (cpt.vertices, cpt.edges) == (ref.vertices, ref.edges)
+        assert cpt.aggregates == []
+        assert cpt.path_max(0, 3) == ref.path_max(0, 3) == (5.0, 1)
+        assert cpt.connected(0, 3) and not cpt.connected(0, 4)
+        with pytest.raises(ValueError, match="augment='full'"):
+            cpt.path_aggregate(0, 3)
+
+    def test_unused_columns_not_allocated(self, forest):
+        assert not hasattr(forest.rc, "_nps")
+        assert not hasattr(forest.rc, "_ndw")
+        forest.rc.check_invariants()
+
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(ValueError, match="augment must be one of"):
+            DynamicForest(3, augment="sums")
+
+    def test_msf_layers_build_msf(self):
+        from repro.core import BatchIncrementalMSF, SequentialIncrementalMSF
+
+        assert BatchIncrementalMSF(4).forest.rc.augment == "msf"
+        assert SequentialIncrementalMSF(4).forest.augment == "msf"
+        assert DynamicForest(4).augment == "full"
+
+    def test_checkpoint_from_before_profiles_loads_as_full(self):
+        import pickle
+
+        from repro.trees.rcarray import RCArrayForest
+
+        f = DynamicForest(4, seed=2)
+        f.batch_link([(0, 1, 1.0, 0), (1, 2, 2.0, 1)])
+        state = dict(f.rc.__dict__)
+        del state["augment"], state["_full"]
+        old = RCArrayForest.__new__(RCArrayForest)
+        old.__setstate__(state)
+        f.rc = pickle.loads(pickle.dumps(old))
+        assert f.augment == "full"
+        f.batch_link([(2, 3, 4.0, 2)])
+        assert f.path_sum(0, 3) == pytest.approx(7.0)

@@ -107,6 +107,28 @@ class TestSegmentedWal:
         assert wal.truncate_before(10**9) == 0
         wal.close()
 
+    def test_bytes_written_is_a_running_total(self, tmp_path):
+        wal = SegmentedWal(tmp_path)
+
+        def on_disk():
+            return sum(s.size for s in wal.segments())
+
+        assert wal.bytes_written == on_disk() > 0  # the header
+        for _ in range(3):
+            wal.append(OPS)
+            assert wal.bytes_written == on_disk()
+        wal.rotate()
+        assert wal.bytes_written == on_disk()
+        for _ in range(2):
+            wal.append(OPS)
+            assert wal.bytes_written == on_disk()
+        assert wal.truncate_before(3) == 1
+        assert wal.bytes_written == on_disk()
+        wal.reset_to(4, epoch=1)
+        wal.append(OPS, epoch=1)
+        assert wal.bytes_written == on_disk()
+        wal.close()
+
     def test_reset_to_fences_old_chain(self, tmp_path):
         wal = SegmentedWal(tmp_path)
         for _ in range(5):
@@ -286,6 +308,44 @@ class TestWalCursor:
 
 
 class TestWalGrowth:
+    def test_wal_bytes_gauge_without_directory_listing(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.wal as walmod
+        from repro.obs.metrics import get_metrics
+
+        def on_disk(data_dir):
+            return sum(s.size for s in walmod.list_segments(data_dir / "wal"))
+
+        gauge = get_metrics().gauge("service.wal_bytes")
+        # Every commit leaves the gauge at the on-disk total, across the
+        # rotations and truncations that follow each snapshot.
+        cfg = svc_config(snapshot_every=2, retain_snapshots=1)
+        svc = StreamService(make_sw(), data_dir=tmp_path / "a", config=cfg)
+        for b in stream_rounds(rounds=8):
+            svc.submit(b)
+            svc.flush()
+            assert gauge.value == on_disk(tmp_path / "a")
+        assert wal_summary(tmp_path / "a" / "wal")["base_lsn"] > 0
+        svc.close()
+        # A commit that takes no snapshot lists the WAL directory zero
+        # times.
+        svc = StreamService(
+            make_sw(), data_dir=tmp_path / "b", config=svc_config(snapshot_every=0)
+        )
+        calls = []
+        listing = walmod.list_segments
+        monkeypatch.setattr(
+            walmod, "list_segments", lambda d: calls.append(d) or listing(d)
+        )
+        for b in stream_rounds(rounds=4):
+            svc.submit(b)
+            svc.flush()
+        assert calls == []
+        monkeypatch.undo()
+        assert gauge.value == on_disk(tmp_path / "b")
+        svc.close()
+
     def test_rotation_and_truncation_bound_the_log(self, tmp_path):
         cfg = svc_config(snapshot_every=2, retain_snapshots=2)
         svc = StreamService(make_sw(), data_dir=tmp_path, config=cfg)
